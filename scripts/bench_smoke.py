@@ -68,27 +68,25 @@ A seventh gate runs against ``BENCH_streaming.json``:
 An eighth gate runs against ``BENCH_mesh.json``:
 
 8. **Mesh worker scaling** — re-runs the closed-loop fleet through a
-   2-worker and a 1-worker mesh (byte parity with direct ``repro.color``
-   asserted across every registry stand-in, both data paths, before any
-   timing) and requires an absolute >= 1.3x throughput win
-   (``--mesh-floor``).  **Auto-skips with the reason reported** on
-   single-CPU hosts, where N processes time-slicing one core cannot
-   scale — same honesty rule as the kernel bench's worker-scaling
-   block, which records ``host_cpus`` for the same reason.
+   2-worker and a 1-worker mesh and requires an absolute >= 1.3x
+   throughput win (``--mesh-floor``).  **Auto-skips with the reason
+   reported** when fewer than 4 CPUs are usable (``os.sched_getaffinity``):
+   the measurement keeps client, router and two workers busy at once,
+   so on fewer cores they time-slice and cannot scale — same honesty
+   rule as the kernel bench's worker-scaling block, which records
+   ``host_cpus`` for the same reason.
 
 A ninth gate runs against ``BENCH_router.json``:
 
-9. **Fitted routing quality** — refits the decision surface from the
-   checked-in scenario-sweep matrix and re-scores both routing policies
-   against the *recorded* per-backend seconds (deterministic — catches
-   fit or policy regressions without re-timing anything), requiring the
-   fitted router to match the measured-fastest parity-neutral backend on
-   >= ``--router-agreement-floor`` of points and to cut mean routed
-   latency vs the hand-set constants by >= ``--router-reduction-floor``.
-   A small live probe then boots fitted and constant services and
-   asserts both produce colorings byte-identical to direct
-   ``repro.color`` — routing may only ever change which backend runs,
-   never the colors.
+9. **Routing rule** — deterministic: on every point of the checked-in
+   scenario-sweep matrix, the measured-fastest parity-neutral backend
+   must be ``microbatch`` or the software tier, the only two lanes the
+   router sends unpinned jobs to (scored against the *recorded*
+   per-backend seconds, nothing re-timed).  A live probe then colors a
+   few graphs, including >= 50k-vertex skewed and regular ones, through
+   one default service and asserts every result is byte-identical to
+   direct ``repro.color`` — routing may only ever change which backend
+   runs, never the colors.
 
 A tenth gate runs against ``BENCH_hbm.json``:
 
@@ -108,7 +106,6 @@ Usage:
         [--obs-limit 1.05] [--skip-hw] [--skip-service] [--skip-native]
         [--skip-streaming] [--skip-mesh] [--skip-router] [--skip-hbm]
         [--service-factor 4.0] [--streaming-floor 10.0] [--mesh-floor 1.3]
-        [--router-agreement-floor 0.9] [--router-reduction-floor 0.10]
         [--hbm-reduction-floor 0.15]
 """
 
@@ -140,6 +137,7 @@ from repro.experiments import (  # noqa: E402
     load_service_results,
     load_streaming_results,
 )
+from repro.experiments.mesh_bench import mesh_skip_reason  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,27 +244,13 @@ def main(argv: list[str] | None = None) -> int:
         "--router-baseline",
         type=Path,
         default=None,
-        help="router result JSON to refit and re-score "
+        help="router result JSON to re-score "
              "(default: repo BENCH_router.json)",
-    )
-    parser.add_argument(
-        "--router-agreement-floor",
-        type=float,
-        default=0.9,
-        help="fraction of sweep points where the fitted router must match "
-             "the measured-fastest parity-neutral backend (default: 0.9)",
-    )
-    parser.add_argument(
-        "--router-reduction-floor",
-        type=float,
-        default=0.10,
-        help="required mean-latency reduction of fitted over constant "
-             "routing on the recorded matrix (default: 0.10)",
     )
     parser.add_argument(
         "--skip-router",
         action="store_true",
-        help="skip the fitted-routing gate",
+        help="skip the routing-rule gate",
     )
     parser.add_argument(
         "--hbm-baseline",
@@ -389,10 +373,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         if mesh_ok is None:
             print(
-                f"mesh worker scaling: skipped (host has "
-                f"{int(mesh_current)} CPU(s); N processes time-slice one "
-                f"core — baseline recorded host_cpus="
-                f"{mesh_baseline.get('host_cpus')})"
+                f"mesh worker scaling: skipped "
+                f"({mesh_skip_reason(int(mesh_current))}; baseline "
+                f"recorded host_cpus={mesh_baseline.get('host_cpus')})"
             )
         else:
             mesh_recorded = float(
@@ -414,22 +397,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"no router baseline found ({e.filename}); "
                   "run benchmarks/bench_router.py")
             return 1
-        rt_ok, rt_current, rt_floors = check_router_smoke(
-            router_baseline,
-            agreement_floor=args.router_agreement_floor,
-            reduction_floor=args.router_reduction_floor,
-        )
+        rt_ok, rt_current = check_router_smoke(router_baseline)
         print(
-            f"fitted routing: agreement {rt_current['agreement']:.2f} "
-            f"(floor {rt_floors['agreement']:.2f}), latency reduction "
-            f"{rt_current['latency_reduction']:.2f} "
-            f"(floor {rt_floors['latency_reduction']:.2f}), "
+            f"routing rule: micro-batch or software tier fastest on "
+            f"{rt_current['points'] - len(rt_current['off_rule'])}/"
+            f"{rt_current['points']} recorded points, "
             f"{rt_current['parity_colorings_checked']} colorings "
             "byte-checked against direct repro.color"
         )
         if not rt_ok:
-            print("FAIL: fitted routing fell below the agreement or "
-                  "latency-reduction floor (or broke coloring parity)")
+            print(f"FAIL: the routing rule never picks the fastest backend "
+                  f"at {rt_current['off_rule']}")
             return 1
 
     if not args.skip_hbm:

@@ -9,9 +9,8 @@ Installed as ``bitcolor-repro`` (or run ``python -m repro.cli``):
   performance, optionally with a per-PE Gantt trace;
 * ``experiment`` — regenerate one paper table/figure;
 * ``sweep`` — run the scenario sweep (generator parameter space ×
-  backend matrix), fit the routing decision surface from it, print the
-  slow-region report, and optionally verify a service booted with the
-  fitted surface stays byte-identical to direct coloring;
+  backend matrix) and print the per-backend wins and slow-region
+  report;
 * ``serve`` — run the long-lived coloring service on a Unix socket;
   ``--workers N`` (N >= 2) runs a mesh instead: N worker processes
   behind one consistent-hash router on the same socket;
@@ -218,7 +217,6 @@ def cmd_sweep(args) -> int:
         FULL_AXES, MINI_AXES, run_scenario_sweep, sweep_report,
         write_sweep_table,
     )
-    from .service.decision import fit_decision_model
 
     axes = dict(MINI_AXES if args.mini else FULL_AXES)
     if args.sizes:
@@ -238,71 +236,8 @@ def cmd_sweep(args) -> int:
     if args.out:
         write_sweep_table(table, args.out)
         print(f"sweep table written to {args.out}")
-    model = fit_decision_model(table)
-    print(f"fitted decision surface: backends={', '.join(model.backends)}, "
-          f"training agreement={model.meta['agreement']:.2f}")
-    if args.fit:
-        model.save(args.fit)
-        print(f"decision model written to {args.fit}")
     print()
     print(sweep_report(table, factor=args.slow_factor))
-    if args.check_service:
-        return _check_fitted_service(table, model, datasets=args.check_datasets)
-    return 0
-
-
-def _check_fitted_service(table, model, *, datasets=()) -> int:
-    """Boot fitted and constant services; assert both match repro.color.
-
-    The sweep-smoke CI leg runs this: every sweep scenario graph (plus
-    any named stand-in datasets) is colored through a service carrying
-    the fitted surface and through one on the hand-set thresholds, and
-    both results must be byte-identical to a direct :func:`repro.color`
-    call — the routing policy must only ever change *which* backend
-    runs.
-    """
-    import tempfile
-
-    from . import color as direct_color
-    from .experiments import load_dataset
-    from .experiments.scenario_sweep import scenario_graph
-    from .service import ColoringService, ServiceConfig
-
-    graphs = [
-        scenario_graph(
-            p["params"]["size"], p["params"]["skew"],
-            p["params"]["community"], p["params"]["density"],
-            seed=p["params"]["seed"],
-        )
-        for p in table["points"]
-    ]
-    graphs.extend(load_dataset(key, preprocessed=True) for key in datasets)
-    with tempfile.NamedTemporaryFile(suffix=".json", mode="w", delete=False) as f:
-        model_path = f.name
-    model.save(model_path)
-    checked = 0
-    try:
-        for label, config in (
-            ("fitted", ServiceConfig(router_table=model_path)),
-            ("constant", ServiceConfig()),
-        ):
-            with ColoringService(config) as svc:
-                for g in graphs:
-                    routed = svc.color(g)
-                    reference = direct_color(g, "bitwise")
-                    if not np.array_equal(routed.colors, reference.colors):
-                        print(f"FAIL: {label} routing changed the colors of "
-                              f"{g.name} (route: {routed.route})")
-                        return 1
-                    checked += 1
-                routing = svc.status()["routing"]
-                print(f"{label} service: policy={routing['policy']} "
-                      f"fitted={routing['fitted']} "
-                      f"fallbacks={routing['fallbacks']} "
-                      f"stats_cache_hits={routing['stats_cache']['hits']}")
-    finally:
-        Path(model_path).unlink(missing_ok=True)
-    print(f"OK: {checked} routed colorings byte-identical to direct repro.color")
     return 0
 
 
@@ -356,7 +291,6 @@ def cmd_serve(args) -> int:
         default_timeout_s=args.timeout,
         batching=not args.no_batching,
         cache_capacity=args.cache_capacity,
-        router_table=args.router_table,
         registry=Registry(),
         obs_path=args.obs,
     )
@@ -618,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser(
         "sweep",
-        help="scenario sweep: time every backend over graph space, fit "
-             "the routing decision surface, report slow regions",
+        help="scenario sweep: time every backend over graph space, "
+             "report per-backend wins and slow regions",
     )
     sw.add_argument("--mini", action="store_true",
                     help="the small CI grid (seconds) instead of the full "
@@ -638,19 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--out", metavar="PATH",
                     help="write the versioned sweep table here (JSON)")
-    sw.add_argument("--fit", metavar="PATH",
-                    help="write the fitted decision model here (JSON); "
-                         "point `serve --router-table` at it")
     sw.add_argument("--slow-factor", type=float, default=3.0,
                     help="flag regions whose best backend exceeds this "
                          "multiple of the median ns/edge")
-    sw.add_argument("--check-service", action="store_true",
-                    help="boot fitted and constant services and assert both "
-                         "color every sweep graph byte-identically to a "
-                         "direct repro.color call")
-    sw.add_argument("--check-datasets", nargs="*", default=(),
-                    help="extra registry stand-in keys --check-service "
-                         "must also verify")
     sw.add_argument("--quiet", action="store_true",
                     help="suppress per-point progress lines")
     sw.set_defaults(fn=cmd_sweep)
@@ -695,20 +619,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="result-cache entries (0 disables)")
     sv.add_argument("--no-batching", action="store_true",
                     help="disable micro-batching of small jobs")
-    sv.add_argument("--router-table", metavar="PATH", default=None,
-                    help="fitted-routing artifact (decision model, sweep "
-                         "table, or BENCH_router.json); default: the "
-                         "REPRO_ROUTER_TABLE env var, else constant "
-                         "thresholds")
     sv.add_argument("--obs", metavar="PATH",
                     help="export service spans/counters here on shutdown")
     sv.add_argument("--workers", type=int, default=1,
                     help="worker processes; >= 2 serves a mesh (consistent-"
                          "hash router fronting N full service processes)")
     sv.add_argument("--shard-threshold", type=int, default=50_000,
-                    help="mesh only: bitwise jobs with at least this many "
-                         "vertices take the cross-worker shared-memory "
-                         "shard path (0 disables)")
+                    help="mesh only: bitwise jobs pinned to --backend "
+                         "parallel with at least this many vertices take "
+                         "the cross-worker shared-memory shard path "
+                         "(0 disables)")
     sv.set_defaults(fn=cmd_serve)
 
     ms = sub.add_parser(

@@ -31,7 +31,6 @@ algorithm is registered as ``repro.color(..., algorithm="incremental")``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -181,16 +180,6 @@ class IncrementalColoring:
         if colored.size == 0:
             return 0
         return int(np.count_nonzero(np.bincount(colored)))
-
-    def num_colors(self) -> int:
-        """Deprecated alias for :attr:`n_colors` (the protocol spelling)."""
-        warnings.warn(
-            "IncrementalColoring.num_colors() is deprecated; use the "
-            "n_colors property",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.n_colors
 
     def degree(self, v: int) -> int:
         self._check(v)

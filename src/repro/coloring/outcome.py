@@ -14,9 +14,7 @@ is the uniform protocol they all satisfy now:
 Algorithm-specific fields (stage counters, round records, prune stats)
 remain available on the concrete classes, but generic consumers — the
 :func:`repro.color` facade, exporters, report generators — should code
-against the protocol instead of spelunking per-class fields; the legacy
-divergent spellings (e.g. ``RecolorResult.num_colors``) emit a
-:class:`DeprecationWarning` and will not grow new call sites.
+against the protocol instead of spelunking per-class fields.
 """
 
 from __future__ import annotations

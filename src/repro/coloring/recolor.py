@@ -17,7 +17,6 @@ throughput story (its Table 4 shows preprocessing alone already buys
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional
@@ -71,17 +70,6 @@ class RecolorResult(OutcomeMixin):
 
     @property
     def n_colors(self) -> int:
-        return int(self.colors_after)
-
-    @property
-    def num_colors(self) -> int:
-        """Deprecated alias for :attr:`colors_after` (use ``n_colors``)."""
-        warnings.warn(
-            "RecolorResult.num_colors is deprecated; use n_colors or "
-            "colors_after",
-            DeprecationWarning,
-            stacklevel=2,
-        )
         return int(self.colors_after)
 
 

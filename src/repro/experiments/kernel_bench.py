@@ -16,8 +16,8 @@ Two entry points:
   tier-1 without the cost (or flakiness) of the full suite;
 * :func:`run_native_smoke` / :func:`check_native_smoke` — the raw
   scatter-OR + first-free kernels, vectorized vs the optional compiled
-  tier (:mod:`repro.kernels.native`); auto-skips when no compiler or
-  numba is present.  When a native backend is detected, :func:`_measure`
+  tier (:mod:`repro.kernels.native`); auto-skips when no C compiler is
+  present.  When a native backend is detected, :func:`_measure`
   also times every (dataset, algorithm) pair with ``backend="native"``
   and records ``native_s`` / ``native_speedup`` columns.
 
@@ -28,6 +28,7 @@ robust statistic for micro-benchmarks because noise is strictly additive.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -55,6 +56,7 @@ __all__ = [
     "run_smoke",
     "run_worker_scaling",
     "smoke_graph",
+    "usable_cpus",
     "write_results",
 ]
 
@@ -89,6 +91,15 @@ dispatch, so the gap only widens on fast machines), and what the gate
 must catch is the native tier silently degrading to the vectorized
 fallback — which shows up as a ~1x "speedup", far below any real
 compiled run."""
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, not the host total).
+
+    Every ``host_cpus`` record uses this: a container pinned to 2 of a
+    host's 64 cores can only ever scale to 2.
+    """
+    return len(os.sched_getaffinity(0))
 
 
 def _runner(algorithm: str, graph: CSRGraph, backend: str) -> Callable[[], object]:
@@ -195,8 +206,6 @@ def run_worker_scaling(
     every entry measures pure orchestration overhead.  The colors are
     asserted byte-identical across all widths before any timing is kept.
     """
-    import os
-
     import numpy as np
 
     from ..parallel import parallel_bitwise_coloring
@@ -229,7 +238,7 @@ def run_worker_scaling(
         "dataset": dataset,
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
-        "host_cpus": os.cpu_count() or 1,
+        "host_cpus": usable_cpus(),
         "vectorized_s": reference_s,
         "deterministic_across_workers": True,
         "entries": entries,

@@ -21,14 +21,14 @@ Entry points mirror :mod:`repro.experiments.service_bench`:
   ``benchmarks/bench_mesh.py``;
 * :func:`run_mesh_smoke` / :func:`check_mesh_smoke` — the fixed
   2-vs-1-worker workload behind ``scripts/bench_smoke.py`` gate 8,
-  which **auto-skips with a recorded reason** on single-CPU hosts where
-  process scaling is not measurable.
+  which **auto-skips with a recorded reason** on hosts with fewer than
+  :data:`MESH_SMOKE_MIN_CPUS` usable CPUs, where process scaling is not
+  measurable.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -38,13 +38,15 @@ import numpy as np
 from ..graph import erdos_renyi
 from ..obs import Registry
 from .datasets import DATASET_KEYS, load_dataset
-from .kernel_bench import _best_of
+from .kernel_bench import _best_of, usable_cpus
 
 __all__ = [
     "DEFAULT_MESH_RESULT_PATH",
+    "MESH_SMOKE_MIN_CPUS",
     "MESH_SMOKE_SPEC",
     "check_mesh_smoke",
     "load_mesh_results",
+    "mesh_skip_reason",
     "run_mesh_bench",
     "run_mesh_parity",
     "run_mesh_smoke",
@@ -66,6 +68,21 @@ _CLIENT_THREADS = 16
 MESH_SCALING_FLOOR = 1.3
 """Gate 8's default floor: 2 workers must beat 1 by this much on
 multi-CPU hosts."""
+
+MESH_SMOKE_MIN_CPUS = 4
+"""Usable CPUs gate 8 needs: the 2-worker measurement keeps four
+processes busy at once (client, router and two workers), so on fewer
+cores the workers time-slice and scaling cannot show."""
+
+
+def mesh_skip_reason(host_cpus: int) -> str:
+    """Why gate 8 cannot be measured with ``host_cpus`` usable CPUs."""
+    return (
+        f"{host_cpus} usable CPU(s), need {MESH_SMOKE_MIN_CPUS}: client, "
+        "router and two workers would time-slice the cores, so the "
+        f"workers=2 >= {MESH_SCALING_FLOOR}x workers=1 floor is not "
+        "measurable here"
+    )
 
 
 def _mesh_fleet(count: int) -> List:
@@ -131,11 +148,11 @@ def run_mesh_parity() -> Dict[str, object]:
     * **forward** path (2-worker mesh, shard path off): dataset jobs
       hashed to one worker must equal plain ``repro.color(graph)``;
     * **cross-worker shard** path (``shard_threshold_vertices=1``
-      forces every inline graph onto it): must equal
-      ``repro.color(graph, "bitwise", backend="parallel")`` — the
-      partition-parallel scheme it distributes, whose speculative
-      shard + repair order legitimately differs from the sequential
-      default.
+      sends every inline graph pinned to ``backend="parallel"`` onto
+      it): must equal ``repro.color(graph, "bitwise",
+      backend="parallel")`` — the partition-parallel scheme it
+      distributes, whose speculative shard + repair order legitimately
+      differs from the sequential default.
 
     Any mismatch raises.
     """
@@ -156,7 +173,7 @@ def run_mesh_parity() -> Dict[str, object]:
         for key in DATASET_KEYS:
             graph = load_dataset(key, preprocessed=True)
             expected = direct_color(graph, "bitwise", backend="parallel")
-            served = mesh.color(graph, retries=64)
+            served = mesh.color(graph, backend="parallel", retries=64)
             if not served.route.startswith("mesh-shard"):
                 raise AssertionError(
                     f"shard path not taken for {key}: route {served.route!r}"
@@ -187,7 +204,7 @@ def run_mesh_bench(
     measures pure routing overhead, and the scaling gate records itself
     as skipped rather than asserting a floor the host cannot meet.
     """
-    host_cpus = os.cpu_count() or 1
+    host_cpus = usable_cpus()
     parity = run_mesh_parity()
     graphs = _mesh_fleet(fleet)
     entries: List[Dict[str, object]] = []
@@ -205,7 +222,7 @@ def run_mesh_bench(
     base_s = float(entries[0]["seconds"])
     for e in entries:
         e["scaling_vs_1"] = base_s / float(e["seconds"]) if e["seconds"] else 0.0
-    if host_cpus >= 2:
+    if host_cpus >= MESH_SMOKE_MIN_CPUS:
         scaling_gate: Dict[str, object] = {
             "skipped": False,
             "floor": MESH_SCALING_FLOOR,
@@ -213,11 +230,7 @@ def run_mesh_bench(
     else:
         scaling_gate = {
             "skipped": True,
-            "reason": (
-                f"host has {host_cpus} CPU(s); N processes time-slice one "
-                "core, so the workers=2 >= 1.3x workers=1 floor is not "
-                "measurable here"
-            ),
+            "reason": mesh_skip_reason(host_cpus),
             "floor": MESH_SCALING_FLOOR,
         }
     return {
@@ -248,7 +261,7 @@ def run_mesh_smoke(*, repeats: int = 3) -> Dict[str, object]:
         "jobs": _SMOKE_JOBS,
         "workers1_s": one_s,
         "workers2_s": two_s,
-        "host_cpus": os.cpu_count() or 1,
+        "host_cpus": usable_cpus(),
         "baseline_speedup": one_s / two_s if two_s > 0 else float("inf"),
     }
 
@@ -261,13 +274,15 @@ def check_mesh_smoke(
     Returns ``(ok, current_speedup, floor)`` — an absolute floor like the
     native gates, because the failure mode is the mesh silently
     serializing (router bottleneck, workers sharing one lock), which
-    reads as ~1x regardless of host speed.  ``ok`` is ``None`` when the
-    host has fewer than 2 CPUs: N processes time-slicing one core cannot
-    scale, so the gate **auto-skips** (mirroring the kernel bench's
-    worker-scaling honesty rule) and the caller reports the reason.
+    reads as ~1x regardless of host speed.  ``ok`` is ``None`` when
+    fewer than :data:`MESH_SMOKE_MIN_CPUS` CPUs are usable: the
+    measurement's processes would time-slice the cores, so the gate
+    **auto-skips** (mirroring the kernel bench's worker-scaling honesty
+    rule) and ``current`` carries the usable CPU count for the caller's
+    skip reason.
     """
-    host_cpus = os.cpu_count() or 1
-    if host_cpus < 2:
+    host_cpus = usable_cpus()
+    if host_cpus < MESH_SMOKE_MIN_CPUS:
         return None, float(host_cpus), floor
     current = float(run_mesh_smoke(repeats=repeats)["baseline_speedup"])
     return current >= floor, current, floor

@@ -1,50 +1,37 @@
-"""Router autotuning benchmark: fitted decision surface vs hand-set thresholds.
+"""Routing benchmark: is the one routing rule's candidate set complete?
 
-The scenario sweep (:mod:`repro.experiments.scenario_sweep`) measures
-every fast backend over the sampled generator parameter space; this
-module scores the two routing policies on that matrix:
+The router (:mod:`repro.service.router`) sends an unpinned job to one of
+two lanes: the micro-batch lane at or below the per-tier crossover, the
+software kernel tier above it.  The scenario sweep
+(:mod:`repro.experiments.scenario_sweep`) times every fast backend over
+the sampled generator parameter space, so it can say whether any other
+lane would ever be worth routing to.  This module scores the rule on
+that matrix:
 
-* **fitted** — the argmin of the per-backend latency surfaces
-  (:func:`repro.service.decision.fit_decision_model`), restricted to the
-  parity-neutral backends the router may actually substitute;
-* **constant** — the hand-set ``small/large/skew`` thresholds
-  (:func:`repro.service.decision.constant_label`), the pre-autotune
-  router behaviour and its documented fallback.
-
-Because both policies are scored against the *recorded* per-backend
-seconds, the evaluation is deterministic given the matrix — the bench
-gate (``scripts/bench_smoke.py`` gate 9) refits from the checked-in
-``BENCH_router.json`` and re-scores without re-timing anything, so CI
-catches a fit or router change that degrades agreement, not host noise.
-A small **live** byte-parity check rides along: a service booted with
-the fitted surface and one on the constants must both color the probe
-graphs byte-identically to a direct :func:`repro.color` call.
-
-The acceptance record (ISSUE 9): fitted choice matches the
-measured-fastest parity-neutral backend on >= 90 % of matrix points, and
-mean routed latency drops >= 10 % vs the constants.
+* **candidate set** — on every point, the measured-fastest
+  parity-neutral backend must be ``microbatch`` or the software tier.
+  Scored against the *recorded* seconds, so the check is deterministic
+  given the matrix: ``scripts/bench_smoke.py`` gate 9 re-scores the
+  checked-in ``BENCH_router.json`` without re-timing anything.
+* **live parity** — one default service colors a few probe graphs,
+  including a >= 50k-vertex skewed graph and a >= 50k-vertex regular
+  one, and every result must be byte-identical to a direct
+  :func:`repro.color` call: routing may only change which engine runs,
+  never the colors.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..service.decision import (
-    PARITY_NEUTRAL_BACKENDS,
-    DecisionModel,
-    constant_label,
-    fit_decision_model,
-)
-from ..service.router import MICROBATCH_CROSSOVER
-from ..service.stats import GraphFeatures
+from .kernel_bench import usable_cpus
 from .scenario_sweep import (
     FULL_AXES,
+    PARITY_NEUTRAL_BACKENDS,
     run_scenario_sweep,
     scenario_graph,
     slow_regions,
@@ -52,11 +39,9 @@ from .scenario_sweep import (
 
 __all__ = [
     "DEFAULT_ROUTER_RESULT_PATH",
-    "ROUTER_AGREEMENT_FLOOR",
-    "ROUTER_REDUCTION_FLOOR",
     "check_router_smoke",
-    "evaluate_policies",
     "load_router_results",
+    "off_rule_points",
     "run_router_bench",
     "run_router_parity",
     "write_router_results",
@@ -65,144 +50,66 @@ __all__ = [
 DEFAULT_ROUTER_RESULT_PATH = (
     Path(__file__).resolve().parents[3] / "BENCH_router.json"
 )
-"""Checked-in router autotuning results (matrix + policy scores)."""
-
-ROUTER_AGREEMENT_FLOOR = 0.9
-"""Fitted pick must match the measured-fastest parity-neutral backend on
-at least this fraction of matrix points."""
-
-ROUTER_REDUCTION_FLOOR = 0.10
-"""Fitted routing must cut mean routed latency vs the constants by at
-least this fraction."""
+"""Checked-in routing results (the scenario-sweep matrix)."""
 
 _PARITY_PROBES = (
     (200, 0.3, 0.0, 4),
     (700, 0.6, 0.0, 8),
     (3000, 0.45, 0.6, 6),
+    (65536, 0.6, 0.0, 4),
 )
-"""Small scenario points the live parity check colors through both
-routing policies (small on purpose — the check rides in the smoke gate)."""
+"""Scenario points the live parity check colors through one service;
+the last is a large, heavily skewed graph (max/mean degree in the
+hundreds)."""
 
 
-def evaluate_policies(
-    table: Dict[str, object],
-    model: Optional[DecisionModel] = None,
-    *,
-    large_vertices: int = 50_000,
-    skew_threshold: float = 8.0,
-    rel_tol: float = 0.02,
-) -> Dict[str, object]:
-    """Score fitted vs constant routing on the recorded matrix.
+def off_rule_points(table: Dict[str, object]) -> List[Dict[str, object]]:
+    """Matrix points whose fastest parity-neutral backend the rule never picks.
 
-    Per point, each policy's routed latency is the *measured* seconds of
-    the backend it picks (the constant policy may pick parity-divergent
-    ``parallel`` — that is its real pre-autotune behaviour and its real
-    latency; the fitted policy is restricted to the parity-neutral
-    pool).  Deterministic given the table: nothing is re-timed.
+    The rule's candidates are ``microbatch`` and the table's software
+    tier; an empty list means they cover every recorded point.
     """
-    if model is None:
-        model = fit_decision_model(table)
-    tier = str(table.get("software_tier", "vectorized"))
-    small = MICROBATCH_CROSSOVER.get(tier, MICROBATCH_CROSSOVER["vectorized"])
     points = list(table.get("points", ()))
     if not points:
-        raise ValueError("sweep table has no points to evaluate")
-    rows: List[Dict[str, object]] = []
-    agree = 0
-    fitted_total = 0.0
-    constant_total = 0.0
+        raise ValueError("sweep table has no points to score")
+    candidates = {"microbatch", str(table.get("software_tier", "vectorized"))}
+    off = []
     for p in points:
-        seconds = {b: float(s) for b, s in p["seconds"].items()}
-        features = GraphFeatures.from_dict(p["features"])
-        neutral = [b for b in seconds if b in PARITY_NEUTRAL_BACKENDS]
-        fitted = model.choose(features, available=neutral)
-        constant = constant_label(
-            features,
-            small_vertices=small,
-            large_vertices=large_vertices,
-            skew_threshold=skew_threshold,
-            software_tier=tier,
-        )
-        if constant not in seconds:
-            constant = tier
-        fastest = min(neutral, key=seconds.get)
-        matched = fitted == fastest or math.isclose(
-            seconds[fitted], seconds[fastest], rel_tol=rel_tol
-        )
-        agree += matched
-        fitted_total += seconds[fitted]
-        constant_total += seconds[constant]
-        rows.append(
-            {
-                "params": dict(p["params"]),
-                "fitted": fitted,
-                "constant": constant,
-                "fastest": fastest,
-                "fitted_s": seconds[fitted],
-                "constant_s": seconds[constant],
-                "fastest_s": seconds[fastest],
-                "matched_fastest": bool(matched),
-            }
-        )
-    fitted_mean = fitted_total / len(points)
-    constant_mean = constant_total / len(points)
-    return {
-        "points": len(points),
-        "agreement": agree / len(points),
-        "fitted_mean_s": fitted_mean,
-        "constant_mean_s": constant_mean,
-        "latency_reduction": (
-            1.0 - fitted_mean / constant_mean if constant_mean > 0 else 0.0
-        ),
-        "software_tier": tier,
-        "rows": rows,
-    }
+        neutral = {
+            b: float(s) for b, s in p["seconds"].items()
+            if b in PARITY_NEUTRAL_BACKENDS
+        }
+        fastest = min(neutral, key=neutral.get)
+        if fastest not in candidates:
+            off.append({"params": dict(p["params"]), "fastest": fastest})
+    return off
 
 
 def run_router_parity() -> int:
-    """Color the probe graphs through fitted and constant services.
+    """Color the probe graphs through one default service.
 
-    Both must be byte-identical to direct :func:`repro.color`; returns
-    the number of colorings checked.  The fitted surface is trained on a
-    one-size mini grid spanning the probes — the point is exercising the
-    fitted code path, not the fit quality.
+    Every result must be byte-identical to direct :func:`repro.color`;
+    returns the number of colorings checked.
     """
-    import tempfile
-
     from .. import color as direct_color
+    from ..graph import road_grid
     from ..service import ColoringService, ServiceConfig
 
     graphs = [
         scenario_graph(*params, seed=11, name=f"router-probe{i}")
         for i, params in enumerate(_PARITY_PROBES)
     ]
-    table = run_scenario_sweep(
-        sizes=(256, 2048), skews=(0.3, 0.6), communities=(0.0,),
-        densities=(4,), repeats=1, obs_counters=False,
-    )
-    model = fit_decision_model(table)
-    with tempfile.NamedTemporaryFile(suffix=".json", mode="w", delete=False) as f:
-        model_path = Path(f.name)
-    model.save(model_path)
+    graphs.append(road_grid(256, 256, seed=11))
     checked = 0
-    try:
-        for config in (
-            ServiceConfig(router_table=model_path, cache_capacity=0),
-            ServiceConfig(cache_capacity=0),
-        ):
-            with ColoringService(config) as svc:
-                for g in graphs:
-                    routed = svc.color(g)
-                    if not np.array_equal(
-                        routed.colors, direct_color(g, "bitwise").colors
-                    ):
-                        raise AssertionError(
-                            f"routing changed the colors of {g.name} "
-                            f"(route: {routed.route})"
-                        )
-                    checked += 1
-    finally:
-        model_path.unlink(missing_ok=True)
+    with ColoringService(ServiceConfig(cache_capacity=0)) as svc:
+        for g in graphs:
+            routed = svc.color(g)
+            if not np.array_equal(routed.colors, direct_color(g).colors):
+                raise AssertionError(
+                    f"routing changed the colors of {g.name} "
+                    f"(route: {routed.route})"
+                )
+            checked += 1
     return checked
 
 
@@ -213,80 +120,55 @@ def run_router_bench(
     seed: int = 0,
     progress=None,
 ) -> Dict[str, object]:
-    """The full router autotuning record behind ``BENCH_router.json``.
+    """The full routing record behind ``BENCH_router.json``.
 
     Runs the scenario sweep (default: the 48-point
-    :data:`~repro.experiments.scenario_sweep.FULL_AXES` grid), fits the
-    decision surface, scores both policies against the matrix, runs the
-    live parity check, and returns the JSON-ready document.
+    :data:`~repro.experiments.scenario_sweep.FULL_AXES` grid), scores the
+    rule's candidate set against it, runs the live parity check, and
+    returns the JSON-ready document.
     """
     axes = dict(FULL_AXES if axes is None else axes)
     table = run_scenario_sweep(
         **axes, repeats=repeats, seed=seed, progress=progress
     )
-    model = fit_decision_model(table)
-    evaluation = evaluate_policies(table, model)
-    parity_checked = run_router_parity()
     return {
         "unit": (
             "seconds, best of repeats (per-backend wall clock over the "
-            "scenario grid); policies scored on recorded seconds"
+            "scenario grid)"
         ),
         "repeats": int(repeats),
-        "host_cpus": os.cpu_count() or 1,
-        "agreement_floor": ROUTER_AGREEMENT_FLOOR,
-        "reduction_floor": ROUTER_REDUCTION_FLOOR,
+        "host_cpus": usable_cpus(),
         "matrix": table,
-        "model_meta": dict(model.meta),
-        "evaluation": evaluation,
         "slow_regions": slow_regions(table),
         "smoke": {
-            "agreement": evaluation["agreement"],
-            "fitted_mean_s": evaluation["fitted_mean_s"],
-            "constant_mean_s": evaluation["constant_mean_s"],
-            "latency_reduction": evaluation["latency_reduction"],
-            "parity_colorings_checked": parity_checked,
+            "points": len(table["points"]),
+            "off_rule_points": len(off_rule_points(table)),
+            "parity_colorings_checked": run_router_parity(),
         },
     }
 
 
 def check_router_smoke(
-    baseline: Dict[str, object],
-    *,
-    agreement_floor: float = ROUTER_AGREEMENT_FLOOR,
-    reduction_floor: float = ROUTER_REDUCTION_FLOOR,
-    live_parity: bool = True,
-) -> Tuple[bool, Dict[str, float], Dict[str, float]]:
-    """Refit from the checked-in matrix and re-score both policies.
+    baseline: Dict[str, object], *, live_parity: bool = True
+) -> Tuple[bool, Dict[str, object]]:
+    """Re-score the rule's candidate set on the checked-in matrix.
 
-    Returns ``(ok, current, floors)`` where ``current`` carries the
-    re-scored ``agreement`` and ``latency_reduction`` (plus the live
-    parity count) and ``floors`` the thresholds they must clear.  The
-    scoring is deterministic — a failure means the fit or the router
-    policy changed, not that the host is slow.  ``live_parity`` adds the
-    byte-parity probe through real services (small graphs, ~seconds).
+    Returns ``(ok, current)`` where ``current`` carries the scored
+    point count, the ``off_rule`` points (empty when ``ok``) and the live
+    parity count.  The scoring is deterministic — a failure means the
+    matrix or the rule changed, not that the host is slow.
+    ``live_parity`` adds the byte-parity probe through a real service.
     """
     matrix = baseline.get("matrix")
     if not isinstance(matrix, dict):
         raise ValueError("router baseline has no sweep matrix")
-    model = fit_decision_model(matrix)
-    evaluation = evaluate_policies(matrix, model)
+    off = off_rule_points(matrix)
     current = {
-        "agreement": float(evaluation["agreement"]),
-        "latency_reduction": float(evaluation["latency_reduction"]),
-        "parity_colorings_checked": 0,
+        "points": len(matrix["points"]),
+        "off_rule": off,
+        "parity_colorings_checked": run_router_parity() if live_parity else 0,
     }
-    if live_parity:
-        current["parity_colorings_checked"] = run_router_parity()
-    floors = {
-        "agreement": float(agreement_floor),
-        "latency_reduction": float(reduction_floor),
-    }
-    ok = (
-        current["agreement"] >= floors["agreement"]
-        and current["latency_reduction"] >= floors["latency_reduction"]
-    )
-    return ok, current, floors
+    return not off, current
 
 
 def write_router_results(

@@ -6,7 +6,8 @@ quantity that actually decides which engine wins — degree skew, density,
 community structure, size — varies *continuously*.  This module samples
 that space with one parameterised generator and times **every fast
 backend** at each sampled point, producing the versioned results table
-the fitted router (:mod:`repro.service.decision`) is trained on.
+that shows which lanes the router ever needs
+(:mod:`repro.experiments.router_bench`).
 
 The four axes:
 
@@ -17,19 +18,19 @@ The four axes:
   communities (the planted-partition strength knob);
 * ``density`` — target mean degree.
 
-Each point records the *measured* :class:`~repro.service.stats.GraphFeatures`
-(not the nominal knobs — the knobs are sampling coordinates, the
-features are what the router can observe), per-backend best-of-repeats
-wall clock, per-backend obs counters, and the coloring width.  Backends
-in :data:`~repro.service.decision.PARITY_NEUTRAL_BACKENDS` must produce
-**byte-identical** colorings at every point (a fast wrong backend must
-fail the sweep, not bias the fit); the ``parallel`` backend is
+Each point records the *measured* :class:`GraphFeatures` (not the
+nominal knobs — the knobs are sampling coordinates, the features are
+the shape the graph actually has), per-backend best-of-repeats wall
+clock, per-backend obs counters, and the coloring width.  Backends in
+:data:`PARITY_NEUTRAL_BACKENDS` must produce **byte-identical**
+colorings at every point (a fast wrong backend must fail the sweep, not
+skew the record); the ``parallel`` backend is
 deterministic but may legally settle on a different proper coloring
 (its contract is identity across worker counts, not identity with the
 sequential order), so it is instead verified for properness and its
 width recorded separately in ``n_colors_by_backend``.
 
-Besides feeding the fit, the table is an optimization roadmap:
+Besides scoring the routing rule, the table is an optimization roadmap:
 :func:`slow_regions` flags parameter regions where **every** backend is
 slow relative to the sweep-wide per-edge cost — the points no routing
 decision can save, i.e. the next kernel-work targets.
@@ -38,9 +39,8 @@ decision can save, i.e. the next kernel-work targets.
 from __future__ import annotations
 
 import json
-import os
 import time
-from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,13 +49,14 @@ import numpy as np
 from ..coloring.verify import assert_proper_coloring
 from ..graph.csr import CSRGraph
 from ..obs import Registry, use_registry
-from ..service.decision import PARITY_NEUTRAL_BACKENDS
-from ..service.stats import GraphFeatures
+from .kernel_bench import usable_cpus
 
 __all__ = [
     "FULL_AXES",
+    "GraphFeatures",
     "MICROBATCH_MAX_VERTICES",
     "MINI_AXES",
+    "PARITY_NEUTRAL_BACKENDS",
     "SWEEP_TABLE_VERSION",
     "default_backends",
     "load_sweep_table",
@@ -76,9 +77,8 @@ FULL_AXES: Dict[str, Tuple] = {
     "densities": (4, 12),
 }
 """The default 48-point grid behind ``BENCH_router.json``.  The size
-axis deliberately straddles the hand-set ``large_vertices = 50_000``
-threshold so the fitted surface is scored exactly where the constants
-commit to a backend."""
+axis reaches past 50k vertices, where graphs are large enough that a
+sharded or accelerator lane could in principle pay off."""
 
 MINI_AXES: Dict[str, Tuple] = {
     "sizes": (256, 1024),
@@ -90,12 +90,62 @@ MINI_AXES: Dict[str, Tuple] = {
 
 MICROBATCH_MAX_VERTICES = 4096
 """The ``microbatch`` pseudo-backend is only measured at or below this
-size — above it no crossover constant would ever batch, and the fitted
-model's per-backend domain range keeps it out of contention there."""
+size — above it no crossover constant would ever batch."""
 
 _MICROBATCH_COMPANIONS = 8
 """Union width the microbatch measurement assumes: per-job latency is
 one coalesced run of this many same-shape jobs, divided out."""
+
+
+PARITY_NEUTRAL_BACKENDS: Tuple[str, ...] = (
+    "python",
+    "vectorized",
+    "native",
+    "hw",
+    "microbatch",
+)
+"""Backends that reproduce the sequential bitwise greedy byte-exactly.
+
+``parallel`` is deliberately absent: its determinism contract is
+*across worker counts* — boundary repair may legally settle on a
+different (equally proper) coloring than the sequential order, which is
+why the router never sends an unpinned job there."""
+
+
+@dataclass(frozen=True)
+class GraphFeatures:
+    """The measured shape of one sweep graph."""
+
+    num_vertices: int
+    num_edges: int
+    """Directed edge slots (each undirected edge counted twice), matching
+    :attr:`repro.graph.csr.CSRGraph.num_edges`."""
+    max_degree: int
+    mean_degree: float
+    degree_skew: float
+    """Max-to-mean degree ratio (0 for edgeless graphs)."""
+    density: float
+    """``mean_degree / (num_vertices - 1)``: fraction of possible
+    neighbours the average vertex actually has (0 for trivial graphs)."""
+
+    @classmethod
+    def compute(cls, graph: CSRGraph) -> "GraphFeatures":
+        n = graph.num_vertices
+        m = graph.num_edges
+        if n == 0 or m == 0:
+            return cls(n, m, 0, 0.0, 0.0, 0.0)
+        mean = m / n
+        return cls(
+            num_vertices=n,
+            num_edges=m,
+            max_degree=graph.max_degree(),
+            mean_degree=mean,
+            degree_skew=graph.max_degree() / mean,
+            density=mean / (n - 1) if n > 1 else 0.0,
+        )
+
+    def as_dict(self) -> Dict[str, object]:
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +306,7 @@ def run_scenario_sweep(
     ``(size, skew, community, density)`` order.  Per point, every
     parity-neutral backend's coloring is asserted byte-identical before
     its timing is kept — a fast wrong backend must fail the sweep, not
-    bias the fit.  Parity-divergent backends (``parallel``) are instead
+    skew the record.  Parity-divergent backends (``parallel``) are instead
     checked for properness; their widths land in ``n_colors_by_backend``.
     """
     backends = tuple(backends) if backends is not None else default_backends()
@@ -336,7 +386,7 @@ def run_scenario_sweep(
         "software_tier": tier,
         "repeats": int(repeats),
         "seed": int(seed),
-        "host_cpus": os.cpu_count() or 1,
+        "host_cpus": usable_cpus(),
         "microbatch_companions": _MICROBATCH_COMPANIONS,
         "points": points,
     }

@@ -7,21 +7,20 @@ dependency**: importing this package touches no compiler, and detection
 only runs when a caller first asks (:func:`available`, :func:`require`,
 or one of the drop-in kernels below).
 
-Detection tries the backends in order — ``numba`` (jitted, used when the
-optional ``[native]`` extra is installed) then ``cc`` (an embedded C
-translation unit built with the system C compiler and loaded via
-ctypes) — and **golden-checks** each candidate against the vectorized
-kernels on a fixed input before selecting it, so a present-but-broken
-toolchain is disqualified instead of corrupting results.  When nothing
-works, the higher layers fall back to the vectorized tier transparently
+Detection loads the ``cc`` backend (an embedded C translation unit
+built with the system C compiler and loaded via ctypes) and
+**golden-checks** it against the vectorized kernels on a fixed input
+before selecting it, so a present-but-broken toolchain is disqualified
+instead of corrupting results.  When it is
+unusable, the higher layers fall back to the vectorized tier transparently
 (``repro.kernels.resolve_tier_kernels``), and :func:`unavailable_reason`
 says why.
 
 The ``REPRO_NATIVE`` environment variable overrides detection:
 ``0``/``off``/``false``/``none``/``disabled`` turns the tier off
 entirely (the CI fallback leg uses this, since GitHub runners do have a
-C compiler); a backend name (``numba``/``cc``) restricts the probe to
-that backend; unset or ``auto`` probes the default order.
+C compiler); ``cc``, unset or ``auto`` probes the backend; any other
+value leaves the tier unavailable with the reason recorded.
 
 The drop-in wrappers :func:`scatter_or_colors` and
 :func:`first_free_colors_packed` reproduce the vectorized kernels'
@@ -32,7 +31,7 @@ exactly; bit-identity is property-tested in ``tests/kernels``.
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "NativeUnavailable",
     "available",
     "backend_info",
-    "backend_order",
     "first_free_colors_packed",
     "refresh",
     "require",
@@ -50,7 +48,7 @@ __all__ = [
     "unavailable_reason",
 ]
 
-_BACKEND_ORDER = ("numba", "cc")
+_BACKEND = "cc"
 _DISABLED_VALUES = ("0", "off", "false", "none", "disabled")
 
 _DETECTED = False
@@ -60,23 +58,6 @@ _REASON: Optional[str] = None
 
 class NativeUnavailable(RuntimeError):
     """No native kernel backend could be loaded (see the message for why)."""
-
-
-def backend_order() -> Tuple[str, ...]:
-    """Detection order of the compiled backends."""
-    return _BACKEND_ORDER
-
-
-def _load_backend(name: str):
-    if name == "numba":
-        from . import _numba
-
-        return _numba.load()
-    if name == "cc":
-        from . import _cc
-
-        return _cc.load()
-    raise ValueError(f"unknown native backend {name!r}; known: {_BACKEND_ORDER}")
 
 
 def _self_check(impl) -> None:
@@ -113,40 +94,29 @@ def _detect():
     global _DETECTED, _IMPL, _REASON
     if _DETECTED:
         return _IMPL
+    _DETECTED = True
+    _IMPL = None
     env = os.environ.get("REPRO_NATIVE", "auto").strip().lower()
     if env in _DISABLED_VALUES:
-        _IMPL = None
         _REASON = f"disabled via REPRO_NATIVE={env!r}"
-        _DETECTED = True
         return None
-    if env in ("", "auto"):
-        candidates = _BACKEND_ORDER
-    elif env in _BACKEND_ORDER:
-        candidates = (env,)
-    else:
-        _IMPL = None
+    if env not in ("", "auto", _BACKEND):
         _REASON = (
             f"REPRO_NATIVE={env!r} names no known backend "
-            f"(known: {', '.join(_BACKEND_ORDER)}, or 0/auto)"
+            f"(known: {_BACKEND}, or 0/auto)"
         )
-        _DETECTED = True
         return None
-    failures = []
-    for name in candidates:
-        try:
-            impl = _load_backend(name)
-            _self_check(impl)
-        except Exception as exc:  # any failure → try the next backend
-            failures.append(f"{name}: {type(exc).__name__}: {exc}")
-            continue
-        _IMPL = impl
-        _REASON = None
-        _DETECTED = True
-        return impl
-    _IMPL = None
-    _REASON = "no native backend usable — " + "; ".join(failures)
-    _DETECTED = True
-    return None
+    try:
+        from . import _cc
+
+        impl = _cc.load()
+        _self_check(impl)
+    except Exception as exc:  # any failure disqualifies the backend
+        _REASON = f"{_BACKEND} backend unusable — {type(exc).__name__}: {exc}"
+        return None
+    _IMPL = impl
+    _REASON = None
+    return impl
 
 
 def refresh() -> None:
@@ -187,8 +157,7 @@ def require():
         raise NativeUnavailable(
             "native kernel tier unavailable: "
             + (_REASON or "no backend detected")
-            + ". Install the optional extra (pip install 'bitcolor-repro[native]') "
-            "or ensure a system C compiler (cc/gcc/clang) is on PATH; "
+            + ". Ensure a system C compiler (cc/gcc/clang) is on PATH; "
             "or drop native_strict/backend='native' to fall back to the "
             "vectorized tier."
         )

@@ -6,7 +6,7 @@ The layers, innermost out (each its own module):
   error taxonomy (``RetryAfter``, ``JobTimeout``, ``JobFailed``);
 * :mod:`~repro.service.queue` — bounded priority queue with per-client
   quotas and load shedding;
-* :mod:`~repro.service.router` — size/skew backend routing and the
+* :mod:`~repro.service.router` — the one-rule backend routing and the
   degradation ladder;
 * :mod:`~repro.service.batcher` — micro-batching small jobs into one
   disjoint-union vectorized kernel invocation;

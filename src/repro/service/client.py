@@ -34,7 +34,6 @@ from __future__ import annotations
 import socket
 import threading
 import time
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
@@ -151,22 +150,6 @@ class Client:
             return job.result_or_raise(None)
         payload = self._roundtrip(request_to_wire(request))
         return result_from_wire(payload["result"])
-
-    def color_retrying(
-        self,
-        graph: Optional[CSRGraph] = None,
-        *,
-        max_sheds: int = 32,
-        **kwargs: Any,
-    ) -> JobResult:
-        """Deprecated alias for :meth:`color` with ``retries=max_sheds``."""
-        warnings.warn(
-            "Client.color_retrying is deprecated; use "
-            "Client.color(..., retries=N)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.color(graph, retries=max_sheds, **kwargs)
 
     # ------------------------------------------------------------------
     # Session lane

@@ -19,9 +19,9 @@ Placement (:mod:`repro.service.placement`):
   in-flight jobs on the dead worker fail over transparently, resident
   sessions on it are lost (``SessionNotFound`` on next touch).
 
-Cross-worker shard path: a graph past
-``MeshConfig.shard_threshold_vertices`` is too large to color as one
-unit, so the router runs the partition-parallel scheme of
+Cross-worker shard path: a job pinned to ``backend="parallel"`` whose
+graph is past ``MeshConfig.shard_threshold_vertices`` is run by the
+router with the partition-parallel scheme of
 :mod:`repro.parallel.coloring` *across worker processes*: the CSR arrays
 and a writable colors vector are exported once into shared memory
 (:mod:`repro.parallel.shm`), shard-coloring and boundary-repair commands
@@ -115,8 +115,10 @@ class MeshConfig:
     spawn_timeout_s: float = 20.0
     """How long to wait for a worker's socket to come up."""
     shard_threshold_vertices: Optional[int] = 50_000
-    """Bitwise jobs with at least this many vertices take the
-    cross-worker shard path; None disables it."""
+    """Bitwise jobs pinned to ``backend="parallel"`` with at least this
+    many vertices take the cross-worker shard path; None disables it.
+    Unpinned jobs always forward, so their colors match
+    :func:`repro.color`."""
 
 
 def _worker_main(socket_path: str, config: ServiceConfig) -> None:
@@ -467,7 +469,7 @@ class ColoringMesh:
             and request.graph is not None
             and request.graph.num_vertices >= threshold
             and request.algorithm == "bitwise"
-            and request.backend in (None, "parallel")
+            and request.backend == "parallel"
             and request.engine is None
             and set(request.opts) <= _SHARD_OPTS
         )

@@ -268,7 +268,7 @@ class MeshPlacement:
 class PlacementPolicy:
     """Every placement decision of one in-process service.
 
-    Wraps the size/skew :class:`~repro.service.router.Router` and owns
+    Wraps the one-rule :class:`~repro.service.router.Router` and owns
     the micro-batch coalescing policy: which queued jobs join a batch
     leader, and whether the linger window is worth paying at all.
 

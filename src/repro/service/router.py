@@ -1,42 +1,28 @@
 """Backend routing: which execution lane should a job take?
 
 The router turns one job (plus its resolved graph) into a
-:class:`RouteDecision`:
+:class:`RouteDecision` by one rule:
 
 * a **pinned** job — the caller named a backend and/or engine — keeps it
   verbatim: parity with a direct :func:`repro.color` call is the
   contract, so routing never overrides an explicit choice (small pinned
   ``vectorized``/``python`` bitwise jobs may still ride a micro-batch,
   which is color-identical by construction);
-* an unpinned **small** job goes to the micro-batch lane, where the
-  batcher coalesces it with its queue neighbours into one vectorized
-  kernel invocation; the size threshold is the **per-tier micro-batch
-  crossover** (:data:`MICROBATCH_CROSSOVER`) — when the compiled native
-  kernel tier is available, small jobs stop paying NumPy dispatch
-  overhead, so the crossover drops and more jobs run solo on the
-  native tier instead of waiting for batch companions;
-* an unpinned **large** job is routed by degree skew, following how the
-  backends actually behave on the two graph families the paper
-  evaluates: power-law graphs (high skew) shard well, so they go to
-  ``backend="parallel"`` and reuse the persistent process pool across
-  requests; regular low-skew graphs (roads, grids) go to the
-  accelerator model's epoch-batched engine, whose DRAM merging thrives
-  on sorted bounded-degree adjacency.
+* an unpinned job with at most the **per-tier micro-batch crossover**
+  (:data:`MICROBATCH_CROSSOVER`) vertices goes to the micro-batch lane,
+  where the batcher coalesces it with its queue neighbours into one
+  kernel invocation;
+* every other unpinned job runs solo on the preferred software tier
+  (``"native"`` when the compiled kernels are available, else
+  ``"vectorized"``).
 
-The size/skew thresholds above are the **documented fallback**.  When
-the router is constructed with a fitted
-:class:`~repro.service.decision.DecisionModel` (trained on the
-scenario-sweep table — see :mod:`repro.experiments.scenario_sweep` and
-``docs/autotune.md``), every unpinned bitwise job is instead routed to
-the backend the model predicts fastest for the graph's measured
-features, restricted to
-:data:`~repro.service.decision.PARITY_NEUTRAL_BACKENDS` so the choice
-can never change the colors.  The features come from a
-fingerprint-keyed :class:`~repro.service.stats.GraphStatsCache`, so a
-graph the service has seen is never re-scanned just to be routed.  Any
-failure along the fitted path (stats unavailable, model missing the
-algorithm's backends) falls back to the constant thresholds with a
-warn-once event and a ``router.fallback`` counter — never silently.
+Every lane an unpinned job can take follows the sequential greedy
+order, so routing decides only *which* engine runs, never the colors.
+The scenario sweep (:mod:`repro.experiments.scenario_sweep`) is the
+evidence that these two lanes are the whole candidate set: on every
+point of the recorded matrix the fastest parity-neutral backend is the
+micro-batch lane or the software tier.  ``backend="parallel"`` and
+``backend="hw"`` stay reachable by pinning.
 
 The router also owns the **degradation ladder** the executor climbs
 down when a backend keeps failing: ``parallel → vectorized → python``
@@ -47,17 +33,13 @@ by pool workers dying.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..coloring.registry import get_algorithm
 from ..graph.csr import CSRGraph
-from ..obs import Registry, get_registry
 from .batcher import batch_key
-from .decision import PARITY_NEUTRAL_BACKENDS, DecisionModel
 from .jobs import JobRequest
-from .stats import GraphFeatures, GraphStatsCache
 
 __all__ = [
     "DEGRADATION_LADDER",
@@ -134,32 +116,21 @@ class RouteDecision:
 
 
 class Router:
-    """Size/skew routing heuristics (thresholds are service config).
+    """The one routing rule (see the module docstring).
 
     ``software_tier`` is the kernel tier unpinned software jobs run on
     (``"native"`` when available, else ``"vectorized"`` — see
     :func:`preferred_software_tier`); it also selects the micro-batch
     crossover from :data:`MICROBATCH_CROSSOVER` when ``small_vertices``
     is left at None.
-
-    When ``decision`` carries a fitted
-    :class:`~repro.service.decision.DecisionModel`, unpinned bitwise
-    jobs take the fitted path instead of the thresholds (see the module
-    docstring); the thresholds stay as the documented fallback and keep
-    governing every other job.
     """
 
     def __init__(
         self,
         *,
         small_vertices: Optional[int] = None,
-        large_vertices: int = 50_000,
-        skew_threshold: float = 8.0,
         batching: bool = True,
         software_tier: Optional[str] = None,
-        decision: Optional[DecisionModel] = None,
-        stats_cache: Optional[GraphStatsCache] = None,
-        registry: Optional[Registry] = None,
     ):
         self.software_tier = software_tier or preferred_software_tier()
         if self.software_tier not in MICROBATCH_CROSSOVER:
@@ -172,40 +143,8 @@ class Router:
             if small_vertices is not None
             else MICROBATCH_CROSSOVER[self.software_tier]
         )
-        self.large_vertices = large_vertices
-        self.skew_threshold = skew_threshold
         self.batching = batching
-        self.decision = decision
-        self.stats_cache = stats_cache if stats_cache is not None else GraphStatsCache()
-        self._registry = registry
-        self._warned: set = set()
 
-    # ------------------------------------------------------------------
-    # Observability plumbing
-    # ------------------------------------------------------------------
-    def _reg(self) -> Registry:
-        return self._registry if self._registry is not None else get_registry()
-
-    def features(self, graph: CSRGraph) -> GraphFeatures:
-        """Routing features for ``graph``, via the fingerprint-keyed
-        stats cache (computed at most once per distinct graph)."""
-        return self.stats_cache.get(graph, registry=self._registry)
-
-    def _fallback(self, reason: str) -> None:
-        """Record one constant-threshold fallback; warn once per reason."""
-        self._reg().add("router.fallback")
-        if reason not in self._warned:
-            self._warned.add(reason)
-            warnings.warn(
-                f"router.fallback reason={reason!r}: routing with the "
-                "hand-set thresholds for this and similar requests",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
     def route(self, request: JobRequest, graph: CSRGraph) -> RouteDecision:
         spec = get_algorithm(request.algorithm)
         pinned = request.backend is not None or request.engine is not None
@@ -219,21 +158,11 @@ class Router:
             and self.software_tier in spec.backends
         ):
             backend = self.software_tier
-        engine = request.engine
-
         key = (
             batch_key(request, graph, default_backend=self.software_tier)
             if self.batching
             else None
         )
-        if not pinned and self.decision is not None:
-            # Fitted routing applies only where the sweep measured:
-            # bitwise kernels.  Other algorithms keep the constant
-            # policy (their backends were never timed by the table).
-            if request.algorithm == "bitwise":
-                fitted = self._route_fitted(graph, spec, key, backend)
-                if fitted is not None:
-                    return fitted
         if key is not None and graph.num_vertices <= self.small_vertices:
             reason = "(pinned, batchable)" if pinned else "(small)"
             return RouteDecision(
@@ -243,76 +172,9 @@ class Router:
                 reason=reason,
                 batch_key=key,
             )
-        if pinned:
-            return RouteDecision(
-                lane="direct", backend=backend, engine=engine, reason="(pinned)"
-            )
-        if (
-            graph.num_vertices >= self.large_vertices
-            and "parallel" in spec.backends
-        ):
-            if self.features(graph).degree_skew >= self.skew_threshold:
-                return RouteDecision(
-                    lane="direct",
-                    backend="parallel",
-                    engine=None,
-                    reason="(large, skewed)",
-                )
-            if "hw" in spec.backends:
-                return RouteDecision(
-                    lane="direct",
-                    backend="hw",
-                    engine="batched",
-                    reason="(large, regular)",
-                )
         return RouteDecision(
-            lane="direct", backend=backend, engine=None, reason="(default)"
-        )
-
-    def _route_fitted(
-        self,
-        graph: CSRGraph,
-        spec,
-        key: Optional[tuple],
-        tier_backend: str,
-    ) -> Optional[RouteDecision]:
-        """The fitted decision for one unpinned bitwise job.
-
-        Returns None (after recording the fallback) when the fitted path
-        cannot answer — the caller then applies the constant thresholds.
-        Candidates are restricted to the parity-neutral backends: the
-        fitted surface changes which engine runs, never the colors.
-        """
-        try:
-            features = self.features(graph)
-        except Exception as exc:  # stats failure must never kill routing
-            self._fallback(f"stats unavailable ({type(exc).__name__})")
-            return None
-        candidates: List[str] = [
-            b for b in spec.backends if b in PARITY_NEUTRAL_BACKENDS
-        ]
-        if key is not None:
-            candidates.append("microbatch")
-        try:
-            pick = self.decision.choose(features, available=candidates)
-        except (KeyError, ValueError):
-            self._fallback("no fitted backend for request")
-            return None
-        self._reg().add("router.fitted")
-        if pick == "microbatch":
-            return RouteDecision(
-                lane="batch",
-                backend=tier_backend,
-                engine=None,
-                reason="(fitted, microbatch)",
-                batch_key=key,
-            )
-        if pick == "hw":
-            # The sweep measures the accelerator model's epoch-batched
-            # engine; the event engine is never an autotuned target.
-            return RouteDecision(
-                lane="direct", backend="hw", engine="batched", reason="(fitted)"
-            )
-        return RouteDecision(
-            lane="direct", backend=pick, engine=None, reason="(fitted)"
+            lane="direct",
+            backend=backend,
+            engine=request.engine,
+            reason="(pinned)" if pinned else "(default)",
         )

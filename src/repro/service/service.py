@@ -33,10 +33,8 @@ mesh health checks never see torn inflight/queue-depth pairs).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,7 +45,6 @@ from ..coloring.registry import get_algorithm
 from ..graph.csr import CSRGraph
 from ..obs import JsonlExporter, Registry
 from .cache import ResultCache
-from .decision import DecisionModel, load_decision
 from .execution import ExecutionEngine
 from .executor import Executor
 from .jobs import Job, JobFailed, JobRequest, JobResult, ServiceClosed
@@ -55,7 +52,6 @@ from .placement import PlacementPolicy
 from .queue import AdmissionQueue
 from .router import Router
 from .sessions import SessionManager
-from .stats import GraphStatsCache
 
 __all__ = ["ColoringService", "ServiceConfig"]
 
@@ -95,19 +91,6 @@ class ServiceConfig:
     small_vertices: Optional[int] = None
     """Micro-batch crossover; None resolves to the router's per-tier
     constant (:data:`repro.service.router.MICROBATCH_CROSSOVER`)."""
-    large_vertices: int = 50_000
-    skew_threshold: float = 8.0
-    router_table: Optional[Union[str, Path]] = None
-    """Fitted-routing artifact: a saved decision model, a scenario-sweep
-    table, or a ``BENCH_router.json`` bundle (any shape
-    :func:`repro.service.decision.load_decision` accepts).  None falls
-    back to the ``REPRO_ROUTER_TABLE`` environment variable, then to
-    constant-threshold routing.  An unusable table warns once, bumps
-    ``router.fallback``, and leaves the constants in charge — the
-    service boots either way."""
-    stats_cache_capacity: int = 4096
-    """Entries in the fingerprint-keyed graph stats cache routing
-    consults (see :class:`repro.service.stats.GraphStatsCache`)."""
     # caching
     cache_capacity: int = 128
     # sessions (the dynamic-graph lane)
@@ -142,13 +125,7 @@ class ColoringService:
             registry=self.registry,
         )
         self.router = Router(
-            small_vertices=cfg.small_vertices,
-            large_vertices=cfg.large_vertices,
-            skew_threshold=cfg.skew_threshold,
-            batching=cfg.batching,
-            decision=self._load_decision(cfg),
-            stats_cache=GraphStatsCache(cfg.stats_cache_capacity),
-            registry=self.registry,
+            small_vertices=cfg.small_vertices, batching=cfg.batching
         )
         self.placement = PlacementPolicy(
             self.router,
@@ -298,19 +275,8 @@ class ColoringService:
                 "batched_jobs": counters.get("service.batch.jobs", 0),
             },
             "routing": {
-                "policy": "fitted" if self.router.decision is not None else "constant",
-                "fitted": counters.get("router.fitted", 0),
-                "fallbacks": counters.get("router.fallback", 0),
-                "stats_cache": self.router.stats_cache.stats(),
-                "model": (
-                    {
-                        "backends": list(self.router.decision.backends),
-                        "points": self.router.decision.meta.get("points"),
-                        "agreement": self.router.decision.meta.get("agreement"),
-                    }
-                    if self.router.decision is not None
-                    else None
-                ),
+                "software_tier": self.router.software_tier,
+                "microbatch_crossover": self.router.small_vertices,
             },
             "cache": self.cache.stats(),
             "sessions": self.sessions.stats(),
@@ -364,27 +330,6 @@ class ColoringService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _load_decision(self, cfg: ServiceConfig) -> Optional[DecisionModel]:
-        """The fitted routing surface, or None for constant thresholds.
-
-        A configured-but-unusable table is a fallback, not a boot
-        failure: the service warns once, bumps ``router.fallback``, and
-        serves with the documented hand-set thresholds.
-        """
-        table = cfg.router_table or os.environ.get("REPRO_ROUTER_TABLE") or None
-        if not table:
-            return None
-        try:
-            return load_decision(table)
-        except Exception as exc:
-            self.registry.add("router.fallback")
-            warnings.warn(
-                f"router.fallback reason='table unusable': {table!r}: {exc}; "
-                "serving with constant-threshold routing",
-                RuntimeWarning,
-            )
-            return None
-
     def _resolve_graph(self, request: JobRequest) -> CSRGraph:
         if request.graph is not None:
             return request.graph

@@ -9,7 +9,7 @@ option combinations.
 The bitwise and Jones–Plassmann suites are parametrized over both batch
 tiers: the always-present ``vectorized`` NumPy kernels and the optional
 compiled ``native`` tier (:mod:`repro.kernels.native`), which skips
-cleanly when no numba/C-compiler backend is usable on this host.
+cleanly when no C compiler is usable.
 """
 
 import numpy as np

@@ -340,13 +340,6 @@ class TestOutcomeAndRegistry:
         with pytest.raises(TypeError):
             repro.color(small_random, algorithm="incremental", order="asc")
 
-    def test_num_colors_method_deprecated_but_working(self):
-        inc = IncrementalColoring(2)
-        inc.add_edge(0, 1)
-        with pytest.warns(DeprecationWarning, match="n_colors"):
-            legacy = inc.num_colors()
-        assert legacy == inc.n_colors == 2
-
 
 class TestCompactUncolored:
     """Regression: compact() must not conflate UNCOLORED with color 0."""

@@ -99,13 +99,13 @@ class TestIteratedGreedy:
 
 
 class TestDeprecatedNumColors:
-    """RecolorResult.num_colors is a deprecated alias for colors_after."""
+    """The deprecated ``RecolorResult.num_colors`` alias is gone;
+    ``n_colors`` (equal to ``colors_after``) is the one spelling."""
 
     def _check(self, res):
-        with pytest.warns(DeprecationWarning, match="num_colors"):
-            value = res.num_colors
-        assert value == res.colors_after
-        assert value == res.n_colors
+        assert not hasattr(res, "num_colors")
+        assert res.n_colors == res.colors_after
+        assert res.as_dict()["n_colors"] == res.colors_after
 
     def test_kempe_reduce(self, small_random):
         res = kempe_reduce(small_random, greedy_coloring_fast(small_random))

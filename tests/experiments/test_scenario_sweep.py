@@ -10,7 +10,9 @@ from repro.experiments.scenario_sweep import (
     FULL_AXES,
     MICROBATCH_MAX_VERTICES,
     MINI_AXES,
+    PARITY_NEUTRAL_BACKENDS,
     SWEEP_TABLE_VERSION,
+    GraphFeatures,
     default_backends,
     load_sweep_table,
     run_scenario_sweep,
@@ -19,7 +21,32 @@ from repro.experiments.scenario_sweep import (
     sweep_report,
     write_sweep_table,
 )
-from repro.service.decision import PARITY_NEUTRAL_BACKENDS
+from repro.graph import erdos_renyi, rmat
+
+
+class TestGraphFeatures:
+    def test_compute_matches_graph(self):
+        g = rmat(8, 4, seed=3)
+        f = GraphFeatures.compute(g)
+        assert f.num_vertices == g.num_vertices
+        assert f.num_edges == g.num_edges
+        assert f.max_degree == g.max_degree()
+        assert f.mean_degree == pytest.approx(g.num_edges / g.num_vertices)
+        assert f.degree_skew == pytest.approx(
+            g.max_degree() / (g.num_edges / g.num_vertices)
+        )
+        assert f.density == pytest.approx(
+            f.mean_degree / (g.num_vertices - 1)
+        )
+
+    def test_edgeless_graph_is_all_zeros(self):
+        g = erdos_renyi(10, 0.0, seed=0)
+        f = GraphFeatures.compute(g)
+        assert (f.degree_skew, f.density, f.mean_degree) == (0.0, 0.0, 0.0)
+
+    def test_dict_round_trip(self):
+        f = GraphFeatures.compute(rmat(7, 3, seed=9))
+        assert GraphFeatures(**f.as_dict()) == f
 
 
 class TestScenarioGraph:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import color as direct_color
-from repro.graph import erdos_renyi
+from repro.graph import erdos_renyi, rmat
 from repro.obs import Registry
 from repro.service import (
     ColoringMesh,
@@ -96,17 +96,33 @@ def test_shard_path_matches_parallel_backend():
     g = erdos_renyi(900, 0.01, seed=42, name="mesh-shard")
     expected = direct_color(g, "bitwise", backend="parallel")
     with ColoringMesh(_mesh_config(shard_threshold_vertices=100)) as m:
-        served = m.color(g)
+        served = m.color(g, backend="parallel")
         assert served.route.startswith("mesh-shard")
         assert np.array_equal(served.colors, expected.colors)
         assert served.n_colors == expected.n_colors
-        # Below the threshold the same mesh forwards instead.
+        # Unpinned, the same graph forwards and colors like repro.color.
+        unpinned = m.color(g, retries=8)
+        assert not unpinned.route.startswith("mesh-shard")
+        assert np.array_equal(unpinned.colors, direct_color(g).colors)
+        # Below the threshold even a parallel pin forwards.
         small = erdos_renyi(60, 0.1, seed=43, name="mesh-small")
-        forwarded = m.color(small, retries=8)
+        forwarded = m.color(small, backend="parallel", retries=8)
         assert not forwarded.route.startswith("mesh-shard")
         assert np.array_equal(
-            forwarded.colors, direct_color(small).colors
+            forwarded.colors,
+            direct_color(small, "bitwise", backend="parallel").colors,
         )
+
+
+def test_unpinned_large_graph_matches_direct_under_default_threshold():
+    g = rmat(16, 8, seed=3)
+    assert g.num_vertices >= MeshConfig().shard_threshold_vertices
+    with ColoringMesh(
+        _mesh_config(shard_threshold_vertices=MeshConfig().shard_threshold_vertices)
+    ) as m:
+        served = m.color(g, retries=8)
+    assert not served.route.startswith("mesh-shard")
+    assert served.colors.tobytes() == direct_color(g).colors.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,11 @@
-"""Router: lane choice, size/skew heuristics, tiers, the degradation ladder."""
+"""Router: the one routing rule, tiers, the degradation ladder."""
 
 from __future__ import annotations
-
-import math
-import warnings
 
 import pytest
 
 from repro.graph import erdos_renyi, road_grid, star_graph
 from repro.kernels import native as native_kernels
-from repro.obs import Registry
 from repro.service import (
     DEGRADATION_LADDER,
     MICROBATCH_CROSSOVER,
@@ -18,22 +14,6 @@ from repro.service import (
     next_rung,
     preferred_software_tier,
 )
-from repro.service.decision import DecisionModel
-from repro.service.stats import FEATURE_NAMES
-
-
-def constant_model(seconds, *, size_ranges=None):
-    """A decision model predicting fixed latency per backend."""
-    return DecisionModel(
-        feature_names=FEATURE_NAMES,
-        backends=tuple(seconds),
-        trees={b: {"leaf": math.log2(s)} for b, s in seconds.items()},
-        size_ranges=(
-            size_ranges
-            if size_ranges is not None
-            else {b: (2.0, 24.0) for b in seconds}
-        ),
-    )
 
 
 def route(router, graph, **kw):
@@ -78,34 +58,32 @@ class TestLanes:
 
 
 class TestSizeSkewHeuristics:
-    def test_large_skewed_goes_parallel(self):
-        # A star graph has max/mean degree ratio ~ n/2 — extreme skew.
-        router = Router(
-            small_vertices=64, large_vertices=1000, skew_threshold=8.0
-        )
-        g = star_graph(5000)
-        decision = route(router, g)
-        assert decision.lane == "direct"
-        assert decision.backend == "parallel"
-        assert "skewed" in decision.reason
+    """Size is the only routing input: no skew or large-size threshold
+    moves an unpinned job off the software tier (parallel and hw need a
+    pin)."""
 
-    def test_large_regular_goes_hw_batched(self):
+    def test_large_skewed_stays_on_software_tier(self):
+        # A star graph has max/mean degree ratio ~ n/2 — extreme skew.
+        g = star_graph(60_000)
+        for tier in ("vectorized", "native"):
+            decision = route(Router(software_tier=tier), g)
+            assert decision.lane == "direct"
+            assert decision.backend == tier
+            assert decision.engine is None
+            assert decision.reason == "(default)"
+
+    def test_large_regular_stays_on_software_tier(self):
         # A road grid's degree is nearly uniform (max 4, mean ~4).
-        router = Router(
-            small_vertices=64, large_vertices=1000, skew_threshold=8.0
-        )
-        g = road_grid(40, 40, seed=1)
-        decision = route(router, g)
-        assert decision.lane == "direct"
-        assert decision.backend == "hw"
-        assert decision.engine == "batched"
-        assert "regular" in decision.reason
+        g = road_grid(250, 250, seed=1)
+        assert g.num_vertices >= 50_000
+        for tier in ("vectorized", "native"):
+            decision = route(Router(software_tier=tier), g)
+            assert decision.lane == "direct"
+            assert decision.backend == tier
+            assert decision.engine is None
 
     def test_midsize_takes_default_backend(self):
-        router = Router(
-            small_vertices=64, large_vertices=100_000,
-            software_tier="vectorized",
-        )
+        router = Router(small_vertices=64, software_tier="vectorized")
         g = erdos_renyi(500, 0.02, seed=2)
         decision = route(router, g)
         assert decision.lane == "direct"
@@ -113,16 +91,13 @@ class TestSizeSkewHeuristics:
         assert "default" in decision.reason
 
     def test_algorithm_without_parallel_backend_stays_default(self):
-        router = Router(
-            small_vertices=64, large_vertices=1000,
-            software_tier="vectorized",
-        )
+        router = Router(small_vertices=64, software_tier="vectorized")
         g = star_graph(5000)
         decision = route(router, g, algorithm="jp", opts={"seed": 0})
         assert decision.backend == "vectorized"
 
     def test_pinned_large_not_rerouted(self):
-        router = Router(small_vertices=64, large_vertices=1000)
+        router = Router(small_vertices=64)
         g = star_graph(5000)
         decision = route(router, g, backend="vectorized")
         assert decision.backend == "vectorized"
@@ -169,9 +144,7 @@ class TestSoftwareTier:
         assert decision.batch_key == ("bitwise", "native", ())
 
     def test_unpinned_midsize_job_rides_the_tier(self):
-        router = Router(
-            small_vertices=64, large_vertices=100_000, software_tier="native"
-        )
+        router = Router(small_vertices=64, software_tier="native")
         g = erdos_renyi(500, 0.02, seed=2)
         decision = route(router, g)
         assert decision.lane == "direct"
@@ -227,126 +200,6 @@ class TestDegradationLadder:
                 backend = next_rung(backend)
                 hops += 1
                 assert hops < 10
-
-
-class TestFittedRouting:
-    """The fitted decision surface path and its documented fallback."""
-
-    def test_unpinned_bitwise_takes_the_model_pick(self):
-        model = constant_model(
-            {"hw": 0.001, "vectorized": 1.0, "microbatch": 1.0}
-        )
-        reg = Registry()
-        router = Router(
-            software_tier="vectorized", decision=model, registry=reg
-        )
-        decision = route(router, erdos_renyi(100, 0.1, seed=1))
-        assert decision.lane == "direct"
-        assert decision.backend == "hw"
-        assert decision.engine == "batched"
-        assert decision.reason == "(fitted)"
-        assert reg.counters["router.fitted"] == 1
-
-    def test_model_pick_microbatch_rides_the_batch_lane(self):
-        # The fitted surface, not the crossover constant, decides: this
-        # graph is far above small_vertices yet still batches.
-        model = constant_model({"microbatch": 0.001, "vectorized": 1.0})
-        router = Router(
-            software_tier="vectorized", decision=model, registry=Registry()
-        )
-        g = erdos_renyi(5000, 0.002, seed=3)
-        assert g.num_vertices > router.small_vertices
-        decision = route(router, g)
-        assert decision.lane == "batch"
-        assert decision.reason == "(fitted, microbatch)"
-        assert decision.batch_key == ("bitwise", "vectorized", ())
-
-    def test_pinned_job_ignores_the_model(self):
-        model = constant_model({"hw": 0.001, "vectorized": 1.0})
-        reg = Registry()
-        router = Router(
-            software_tier="vectorized", decision=model, registry=reg
-        )
-        decision = route(
-            router, erdos_renyi(5000, 0.002, seed=3), backend="vectorized"
-        )
-        assert decision.backend == "vectorized"
-        assert "pinned" in decision.reason
-        assert "router.fitted" not in reg.counters
-
-    def test_non_bitwise_algorithm_keeps_the_constant_policy(self):
-        model = constant_model({"hw": 0.001, "vectorized": 1.0})
-        reg = Registry()
-        router = Router(
-            small_vertices=64, software_tier="vectorized",
-            decision=model, registry=reg,
-        )
-        decision = route(
-            router, erdos_renyi(500, 0.02, seed=2),
-            algorithm="jp", opts={"seed": 0},
-        )
-        assert decision.backend == "vectorized"
-        assert "router.fitted" not in reg.counters
-
-    def test_parallel_is_never_a_fitted_choice(self):
-        # Even a model claiming parallel is instantly fast cannot route
-        # an unpinned job there: parallel may legally produce a
-        # different proper coloring, and fitted routing must never
-        # change the colors.
-        model = constant_model({"parallel": 1e-9, "vectorized": 1.0})
-        router = Router(
-            small_vertices=64, large_vertices=100_000,
-            software_tier="vectorized", decision=model, registry=Registry(),
-        )
-        decision = route(router, erdos_renyi(500, 0.02, seed=2))
-        assert decision.backend != "parallel"
-
-    def test_model_without_usable_backend_falls_back_with_warn_once(self):
-        model = constant_model({"parallel": 0.001})  # parity-divergent only
-        reg = Registry()
-        router = Router(
-            software_tier="vectorized", decision=model, registry=reg
-        )
-        g = erdos_renyi(100, 0.1, seed=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = route(router, g)
-            second = route(router, g)
-        assert first.lane == "batch"  # the constant policy took over
-        assert second.lane == "batch"
-        assert reg.counters["router.fallback"] == 2
-        fallback_warnings = [
-            w for w in caught if "router.fallback" in str(w.message)
-        ]
-        assert len(fallback_warnings) == 1  # warn-once per reason
-
-    def test_domain_guard_excludes_out_of_range_backend(self):
-        # microbatch was only ever measured on tiny graphs; a model must
-        # not extrapolate it onto a graph 10 doublings larger.
-        model = constant_model(
-            {"microbatch": 0.001, "vectorized": 1.0},
-            size_ranges={
-                "microbatch": (2.0, 4.0),
-                "vectorized": (2.0, 24.0),
-            },
-        )
-        router = Router(
-            software_tier="vectorized", decision=model, registry=Registry()
-        )
-        decision = route(router, erdos_renyi(5000, 0.002, seed=3))
-        assert decision.backend == "vectorized"
-
-    def test_skew_path_routes_through_the_stats_cache(self):
-        reg = Registry()
-        router = Router(
-            small_vertices=64, large_vertices=1000, skew_threshold=8.0,
-            registry=reg,
-        )
-        g = star_graph(5000)
-        assert route(router, g).backend == "parallel"
-        assert route(router, g).backend == "parallel"
-        assert reg.counters["router.stats_cache.misses"] == 1
-        assert reg.counters["router.stats_cache.hits"] == 1
 
 
 def test_decision_label_mentions_everything():

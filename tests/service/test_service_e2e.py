@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.experiments import DATASET_KEYS, load_dataset
-from repro.graph import erdos_renyi
+from repro.graph import erdos_renyi, rmat, road_grid
 from repro.service import (
     Client,
     JobFailed,
@@ -90,6 +90,28 @@ class TestParityMatrix:
         for g, job in zip(small_graphs, jobs):
             result = job.result_or_raise(timeout=30)
             assert np.array_equal(result.colors, repro.color(g).colors)
+
+
+class TestRoutingNeverChangesColors:
+    """Unpinned jobs of any size and shape color like ``repro.color``."""
+
+    def test_large_skewed_graph_matches_direct(self, service_factory):
+        g = rmat(16, 8, seed=3)
+        assert g.num_vertices == 65_536
+        served = Client(service_factory()).color(g)
+        assert served.colors.tobytes() == repro.color(g).colors.tobytes()
+        assert "parallel" not in served.route
+
+    def test_large_regular_graph_runs_on_the_software_tier(
+        self, service_factory
+    ):
+        g = road_grid(250, 250, seed=5)
+        assert g.num_vertices >= 50_000
+        svc = service_factory()
+        served = Client(svc).color(g)
+        assert f"backend={svc.router.software_tier}" in served.route
+        assert "hw" not in served.route
+        assert served.colors.tobytes() == repro.color(g).colors.tobytes()
 
 
 class TestMicroBatching:
@@ -313,7 +335,7 @@ class TestValidation:
 
 
 class TestClientRetries:
-    """`color(retries=)` and the deprecated `color_retrying` shim."""
+    """`color(retries=)` absorbs sheds; the default surfaces the first."""
 
     def test_retries_absorb_sheds(self, service_factory):
         release = threading.Event()
@@ -369,11 +391,3 @@ class TestClientRetries:
         release.set()
         for job in jobs:
             job.result_or_raise(timeout=30)
-
-    def test_color_retrying_warns_and_forwards(self, service_factory):
-        svc = service_factory(executors=1)
-        client = Client(svc)
-        g = erdos_renyi(40, 0.1, seed=5)
-        with pytest.warns(DeprecationWarning, match="retries"):
-            result = client.color_retrying(g, max_sheds=4)
-        assert np.array_equal(result.colors, repro.color(g).colors)

@@ -119,16 +119,6 @@ def test_facade_does_not_touch_ambient_registry(graph):
     assert dict(ambient.counters) == before
 
 
-def test_recolor_num_colors_deprecated(graph):
-    from repro.coloring import greedy_coloring_fast, kempe_reduce
-
-    res = kempe_reduce(graph, greedy_coloring_fast(graph))
-    with pytest.warns(DeprecationWarning, match="num_colors"):
-        assert res.num_colors == res.colors_after
-    # The canonical spellings stay silent.
-    assert res.n_colors == res.colors_after
-
-
 def test_unknown_engine_rejected_eagerly(graph):
     """A typo'd engine fails before dispatch, listing the registered options."""
     with pytest.raises(ValueError, match="event, batched"):
