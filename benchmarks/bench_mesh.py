@@ -4,8 +4,8 @@ A closed-loop fleet of small coloring jobs is pushed through meshes of
 1, 2, and 4 worker processes (:mod:`repro.service.mesh`): consistent-
 hash placement, spill on shed, 16 client threads keeping every worker's
 admission queue fed.  Byte parity with direct ``repro.color`` is
-asserted across all ten registry stand-ins on both mesh data paths
-(forward and cross-worker shard) before any timing is kept, and
+asserted across all ten registry stand-ins, for unpinned jobs and for
+``backend="parallel"`` pins, before any timing is kept, and
 ``host_cpus`` is recorded because multi-worker scaling on a 1-CPU host
 only measures routing overhead.  Running the file directly regenerates
 the checked-in ``BENCH_mesh.json``:
@@ -49,7 +49,7 @@ def test_mesh_scaling(benchmark, once, capsys):
     # The acceptance shape: parity must hold on every stand-in, and on
     # hosts with real cores to spare 2 workers must beat 1.
     assert results["parity"]["forward_path_exact"]
-    assert results["parity"]["shard_path_exact"]
+    assert results["parity"]["parallel_pin_exact"]
     assert len(results["parity"]["datasets"]) == 10
     by_workers = {e["workers"]: e for e in results["entries"]}
     if not results["scaling_gate"]["skipped"] and 2 in by_workers:

@@ -297,11 +297,7 @@ def cmd_serve(args) -> int:
     if args.workers > 1:
         from .service import MeshConfig, serve_mesh
 
-        mesh_config = MeshConfig(
-            workers=args.workers,
-            service=config,
-            shard_threshold_vertices=args.shard_threshold or None,
-        )
+        mesh_config = MeshConfig(workers=args.workers, service=config)
         print(f"serving mesh on {args.socket} "
               f"(workers={args.workers}, executors={args.executors} each, "
               f"depth={args.max_depth}, "
@@ -624,11 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--workers", type=int, default=1,
                     help="worker processes; >= 2 serves a mesh (consistent-"
                          "hash router fronting N full service processes)")
-    sv.add_argument("--shard-threshold", type=int, default=50_000,
-                    help="mesh only: bitwise jobs pinned to --backend "
-                         "parallel with at least this many vertices take "
-                         "the cross-worker shared-memory shard path "
-                         "(0 disables)")
     sv.set_defaults(fn=cmd_serve)
 
     ms = sub.add_parser(

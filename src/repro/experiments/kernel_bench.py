@@ -28,7 +28,6 @@ robust statistic for micro-benchmarks because noise is strictly additive.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -36,6 +35,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..coloring import bitwise_greedy_coloring, jones_plassmann_coloring, luby_mis
 from ..graph import CSRGraph, powerlaw_cluster
 from ..obs import Registry, use_registry
+from ..parallel.pool import usable_cpus
 from .datasets import load_dataset
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "run_smoke",
     "run_worker_scaling",
     "smoke_graph",
-    "usable_cpus",
     "write_results",
 ]
 
@@ -91,15 +90,6 @@ dispatch, so the gap only widens on fast machines), and what the gate
 must catch is the native tier silently degrading to the vectorized
 fallback — which shows up as a ~1x "speedup", far below any real
 compiled run."""
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, not the host total).
-
-    Every ``host_cpus`` record uses this: a container pinned to 2 of a
-    host's 64 cores can only ever scale to 2.
-    """
-    return len(os.sched_getaffinity(0))
 
 
 def _runner(algorithm: str, graph: CSRGraph, backend: str) -> Callable[[], object]:

@@ -43,13 +43,12 @@ from ..graph.partition import (
     partition_vertex_ranges,
 )
 from ..obs import Registry, get_registry, use_registry
-from .pool import pool_map, resolve_workers
+from .pool import fans_out, pool_map, resolve_workers
 from .shm import CSRSpec, SharedCSR, attach_graph
 
 __all__ = [
     "DEFAULT_NUM_SHARDS",
     "ParallelColoringResult",
-    "color_shard",
     "find_cross_shard_conflicts",
     "parallel_bitwise_coloring",
     "partitioner_for",
@@ -110,7 +109,7 @@ def parallel_bitwise_coloring(
     Parameters
     ----------
     workers:
-        Pool width (default: CPU count).  ``workers=1`` runs the identical
+        Pool width (default: usable CPUs).  ``workers=1`` runs the identical
         shard schedule inline — same colors, no pool.
     num_shards:
         Number of vertex shards (default :data:`DEFAULT_NUM_SHARDS`).
@@ -180,7 +179,7 @@ def _color_shards(
     colors = np.zeros(graph.num_vertices, dtype=np.int64)
     if graph.num_vertices == 0:
         return colors
-    pooled = workers > 1 and plan.num_shards > 1
+    pooled = fans_out(workers, plan.num_shards)
     spec = SharedCSR.for_graph(graph).spec if pooled else None
     tasks = [
         (spec, shard, plan.num_shards, plan.strategy, prune_uncolored, reg.enabled)
@@ -279,30 +278,6 @@ def find_cross_shard_conflicts(
     return np.unique(dst[clash])
 
 
-def color_shard(
-    graph: CSRGraph,
-    shard: int,
-    num_shards: int,
-    *,
-    strategy: str = "range",
-    prune_uncolored: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Speculatively color one shard; returns ``(vertices, colors)``.
-
-    The per-shard half of the parallel scheme as a standalone step, so a
-    remote executor (a mesh worker holding a shared-memory attachment of
-    the graph) can run exactly the shard coloring the in-process pool
-    would — same induced subgraph, same vectorized kernel, byte-identical
-    speculative colors.
-    """
-    vertices, sub = _shard_subgraph(graph, shard, num_shards, strategy)
-    if vertices.size == 0:
-        return vertices, np.zeros(0, dtype=np.int64)
-    return vertices, bitwise_greedy_coloring(
-        sub, prune_uncolored=prune_uncolored, backend="vectorized"
-    ).colors
-
-
 def split_ready(
     graph: CSRGraph, todo: np.ndarray, pending: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -310,10 +285,8 @@ def split_ready(
 
     A vertex is ready when no smaller-ID neighbour is still pending.
     Ready vertices are mutually non-adjacent — for adjacent ``u < v``,
-    pending ``u`` blocks ``v`` — which is the property that makes both
-    the batched serial repair and the mesh's distributed per-owner
-    repair exact: every ready vertex sees final neighbour colors, and no
-    two writers of one round ever touch adjacent slots.
+    pending ``u`` blocks ``v`` — which is what makes the batched repair
+    exact: every ready vertex sees final neighbour colors.
     """
     from ..kernels import gather_ranges
 
@@ -332,10 +305,9 @@ def recolor_first_free(
     """Recolor ``ready`` first-free against full neighbourhoods, in place.
 
     Only valid on a mutually non-adjacent set (one :func:`split_ready`
-    round, or any owner-subset of one — first-free results depend only
-    on neighbour colors, never on other ready vertices, so splitting a
-    round across processes writing one shared colors array stays
-    byte-identical to the serial sweep).
+    round): first-free results then depend only on neighbour colors,
+    never on other ready vertices, so one batched sweep equals the
+    serial walk.
     """
     if ready.size == 0:
         return
@@ -348,9 +320,7 @@ def recolor_first_free(
 
     # A round's first-free results never exceed the current max color
     # plus one, but later rounds see the new colors — recompute the
-    # state width per call so a repair cascade can keep growing.  Extra
-    # width (a concurrent owner already wrote a new max) only pads the
-    # bitmap; the smallest free color is unchanged.
+    # state width per call so a repair cascade can keep growing.
     num_words = words_for_colors(int(colors.max()) + 1)
     rlens = graph.degrees()[ready]
     rdst = graph.edges[gather_ranges(graph.offsets[ready], rlens)]

@@ -19,11 +19,19 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import os
+from multiprocessing import resource_tracker
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from .shm import mp_context
 
-__all__ = ["pool_map", "resolve_workers", "shutdown_pools"]
+__all__ = [
+    "fans_out",
+    "pool_map",
+    "resolve_workers",
+    "shutdown_pools",
+    "usable_cpus",
+]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -31,21 +39,46 @@ R = TypeVar("R")
 _POOLS: Dict[int, object] = {}
 
 
-def resolve_workers(workers: Optional[int]) -> int:
-    """Normalise a ``workers`` argument: ``None`` → CPU count, floor 1."""
-    if workers is None:
-        import os
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, not the host total).
 
-        workers = os.cpu_count() or 1
+    A container pinned to 2 of a host's 64 cores can only ever scale to
+    2; platforms without ``os.sched_getaffinity`` fall back to the CPU
+    count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """Normalise a ``workers`` argument: ``None`` → usable CPUs, floor 1."""
+    if workers is None:
+        workers = usable_cpus()
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
 
 
+def fans_out(workers: int, count: int) -> bool:
+    """Whether :func:`pool_map` would use a pool for ``count`` items."""
+    return (
+        workers > 1
+        and count > 1
+        and not multiprocessing.current_process().daemon
+    )
+
+
 def _shared_pool(workers: int):
     pool = _POOLS.get(workers)
     if pool is None:
+        if mp_context().get_start_method() == "fork":
+            # A forked worker without a running tracker would start its
+            # own on its first shared-memory attach, and that tracker
+            # would unlink the parent's blocks when the worker exits.
+            # Started here, every worker shares the parent's tracker.
+            resource_tracker.ensure_running()
         pool = _POOLS[workers] = mp_context().Pool(processes=workers)
     return pool
 
@@ -77,6 +110,6 @@ def pool_map(
     hand-out keeps the pool busy when task costs are skewed.
     """
     items = list(items)
-    if workers <= 1 or len(items) <= 1 or multiprocessing.current_process().daemon:
+    if not fans_out(workers, len(items)):
         return [fn(item) for item in items]
     return _shared_pool(workers).map(fn, items, chunksize=1)

@@ -9,11 +9,8 @@ and each worker maps the blocks into a read-only :class:`CSRGraph` view
 (:func:`attach_graph`) — no per-task serialization at all.
 
 Lifecycle: the parent owns the blocks (``close`` + ``unlink`` via the
-context manager); workers only ``close`` their attachments.  On spawn
-start methods the attachment is unregistered from the per-process
-resource tracker so a worker's exit cannot reap blocks the parent still
-owns (a well-known CPython < 3.13 footgun; fork workers share the
-parent's tracker and need no such dance).
+context manager) and its resource tracker reaps them if it crashes;
+workers only ``close`` their attachments, and hold at most one graph.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -30,10 +27,7 @@ from ..graph.csr import CSRGraph
 __all__ = [
     "CSRSpec",
     "SharedCSR",
-    "SharedI64Array",
-    "attach_array",
     "attach_graph",
-    "detach_all",
     "mp_context",
 ]
 
@@ -41,9 +35,9 @@ __all__ = [
 def mp_context():
     """The preferred multiprocessing context: ``fork`` where available.
 
-    Fork keeps worker start-up at milliseconds and shares the parent's
-    resource tracker; platforms without it (Windows, macOS default) fall
-    back to ``spawn``, which :func:`attach_graph` also supports.
+    Fork keeps worker start-up at milliseconds; platforms without it
+    (Windows, macOS default) fall back to ``spawn``, which
+    :func:`attach_graph` also supports.
     """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
@@ -126,25 +120,41 @@ class SharedCSR:
         return False
 
 
-# Worker-side attachment cache: one mapping per (block name, process) —
-# the value pairs the materialised view (a CSRGraph, with its memoised
-# slot sources / dependency levels, or a bare ndarray) with the
-# SharedMemory objects keeping its buffers alive.
-_ATTACHED: Dict[str, Tuple[object, list]] = {}
+# Worker-side attachment: at most one graph per process.  The value pairs
+# the materialised CSRGraph view (with its memoised slot sources and shard
+# subgraphs) with the SharedMemory objects keeping its buffers alive.
+_ATTACHED: Dict[str, Tuple[CSRGraph, list]] = {}
 
 
 def attach_graph(spec: CSRSpec) -> CSRGraph:
     """Map the shared blocks into a read-only :class:`CSRGraph` view.
 
     Idempotent per process: repeated calls with the same spec return the
-    cached instance, so per-graph memos (slot sources, dependency-level
-    schedules) survive across tasks within a worker.
+    cached instance, so per-graph memos (slot sources, shard subgraphs)
+    survive across tasks within a worker.  A new spec first releases the
+    previous attachment, so a persistent pool worker maps one graph at a
+    time however many graphs stream through it.
+
+    The attachment is not unregistered from the resource tracker: pool
+    workers share the owner's tracker (see
+    :func:`repro.parallel.pool.pool_map`), whose registry is a set, so
+    the re-registration is a no-op and the owner's entry survives — its
+    ``unlink`` stays tracked, and a crashed owner's blocks are still
+    reaped.
     """
     cached = _ATTACHED.get(spec.offsets_name)
     if cached is not None:
         return cached[0]
-    offsets_shm = _attach_block(spec.offsets_name)
-    edges_shm = _attach_block(spec.edges_name)
+    # Drop the old view before closing its blocks: a block whose buffer
+    # a live array still exports cannot close.  Closing only unmaps this
+    # process's view; the owner unlinks.
+    while _ATTACHED:
+        _, (view, blocks) = _ATTACHED.popitem()
+        del view
+        for shm in blocks:
+            shm.close()
+    offsets_shm = shared_memory.SharedMemory(name=spec.offsets_name)
+    edges_shm = shared_memory.SharedMemory(name=spec.edges_name)
     offsets = np.ndarray(spec.num_vertices + 1, dtype=np.int64, buffer=offsets_shm.buf)
     edges = np.ndarray(spec.num_edges, dtype=np.int64, buffer=edges_shm.buf)
     graph = CSRGraph(offsets=offsets, edges=edges, name=spec.graph_name)
@@ -154,103 +164,3 @@ def attach_graph(spec: CSRSpec) -> CSRGraph:
     _ATTACHED[spec.offsets_name] = (graph, [offsets_shm, edges_shm])
     return graph
 
-
-def detach_all() -> int:
-    """Drop every cached attachment this process holds; returns the count.
-
-    Long-lived processes (mesh workers) attach graphs as jobs arrive;
-    without an explicit release the mappings — and, on POSIX, the
-    underlying pages of since-unlinked blocks — live until process exit.
-    The mesh's ``shard.release`` op calls this between shard jobs.
-    """
-    released = len(_ATTACHED)
-    for _graph, blocks in _ATTACHED.values():
-        for shm in blocks:
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover - platform dependent
-                pass
-    _ATTACHED.clear()
-    return released
-
-
-class SharedI64Array:
-    """Parent-side owner of one named, *writable* int64 shared array.
-
-    The mesh's cross-worker shard protocol uses one of these as the
-    colors vector: the router creates it, every worker attaches the same
-    block (:func:`attach_array`) and writes its own shard's slots in
-    place — results travel by memory, not by wire.  Safe because shard
-    vertex sets are disjoint and repair-round ready sets are mutually
-    non-adjacent; no two processes ever write the same slot in a phase.
-
-    Same ownership rules as :class:`SharedCSR`: the creator unlinks on
-    :meth:`close`, attachments only close their own mapping.
-    """
-
-    def __init__(self, size: int, *, fill: Optional[int] = None):
-        self.size = int(size)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(1, self.size * 8)
-        )
-        self.array = np.ndarray(self.size, dtype=np.int64, buffer=self._shm.buf)
-        if fill is not None:
-            self.array[:] = fill
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def close(self) -> None:
-        """Release this process's mapping and destroy the block."""
-        try:
-            self.array = None
-            self._shm.close()
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __enter__(self) -> "SharedI64Array":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
-
-def attach_array(name: str, size: int) -> np.ndarray:
-    """Map a :class:`SharedI64Array` block into a writable ndarray view.
-
-    Cached per process like :func:`attach_graph`, and released together
-    with graph attachments by :func:`detach_all`.
-    """
-    cached = _ATTACHED.get(name)
-    if cached is not None:
-        return cached[0]
-    shm = _attach_block(name)
-    array = np.ndarray(int(size), dtype=np.int64, buffer=shm.buf)
-    _ATTACHED[name] = (array, [shm])
-    return array
-
-
-def _attach_block(name: str) -> shared_memory.SharedMemory:
-    shm = shared_memory.SharedMemory(name=name)
-    # Attaching registers the block with the resource tracker again
-    # (CPython < 3.13 has no track=False): under spawn that lets a worker
-    # exit unlink blocks the parent still owns, under fork it leaves
-    # duplicate stale entries the shared tracker warns about at exit.
-    # The owner's own registration is the one that matters — drop the
-    # attachment's.
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - platform dependent
-        pass
-    return shm

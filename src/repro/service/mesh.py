@@ -1,11 +1,13 @@
 """Multi-worker service mesh: N coloring services behind one router.
 
 The single-process service tops out at one GIL-bound dispatch loop no
-matter how fast the kernels get.  The mesh is the scale-out story — the
-software analog of GraVF-M's multi-FPGA partitioning: N full
-:class:`~repro.service.service.ColoringService` workers run as separate
-**processes** (each with its own Unix socket, admission queue, executor
-pool, and result cache), fronted by a router that owns only placement.
+matter how fast the kernels get.  The mesh is the scale-out story for
+many jobs: N full :class:`~repro.service.service.ColoringService`
+workers run as separate **processes** (each with its own Unix socket,
+admission queue, executor pool, and result cache), fronted by a router
+that owns only placement.  Every job runs whole on one worker; splitting
+one graph across engines is ``backend="parallel"``, which a pinned job
+gets from its worker like any other backend.
 
 Placement (:mod:`repro.service.placement`):
 
@@ -18,19 +20,6 @@ Placement (:mod:`repro.service.placement`):
   ring (**re-hash**) and its key range redistributes to the survivors —
   in-flight jobs on the dead worker fail over transparently, resident
   sessions on it are lost (``SessionNotFound`` on next touch).
-
-Cross-worker shard path: a job pinned to ``backend="parallel"`` whose
-graph is past ``MeshConfig.shard_threshold_vertices`` is run by the
-router with the partition-parallel scheme of
-:mod:`repro.parallel.coloring` *across worker processes*: the CSR arrays
-and a writable colors vector are exported once into shared memory
-(:mod:`repro.parallel.shm`), shard-coloring and boundary-repair commands
-carry only block names and tiny ready lists over the sockets, and every
-worker writes its disjoint slots in place.  The repair rounds are the
-same smaller-ID-wins dependency rounds as the in-process backend —
-each round's ready set is mutually non-adjacent, so splitting it across
-owners is race-free — which keeps mesh colors **byte-identical** to
-``repro.color(graph, "bitwise", backend="parallel", ...)``.
 
 Execution inside each worker is the unmodified
 :class:`~repro.service.execution.ExecutionEngine`: the mesh changes
@@ -51,21 +40,10 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
-import numpy as np
-
-from ..coloring.verify import UNCOLORED
 from ..graph.csr import CSRGraph
-from ..parallel.coloring import (
-    DEFAULT_NUM_SHARDS,
-    color_shard,
-    find_cross_shard_conflicts,
-    partitioner_for,
-    recolor_first_free,
-    split_ready,
-)
-from ..parallel.shm import SharedCSR, SharedI64Array, mp_context
+from ..parallel.shm import mp_context
 from .client import Client
 from .jobs import (
     JobResult,
@@ -78,12 +56,9 @@ from .jobs import (
 from .placement import MeshPlacement, placement_key
 from .protocol import (
     MAX_FRAME_BYTES,
-    encode_colors,
     error_to_wire,
     request_from_wire,
     request_to_wire,
-    result_to_wire,
-    shard_spec_to_wire,
     wire_to_error,
 )
 from .server import serve
@@ -92,9 +67,6 @@ from .service import ServiceConfig
 __all__ = ["ColoringMesh", "MeshConfig", "MeshServer", "serve_mesh"]
 
 _LEN = struct.Struct(">I")
-
-_SHARD_OPTS = {"prune_uncolored", "num_shards", "partition"}
-"""Opts the shard path honors; anything else forwards to a worker."""
 
 
 @dataclass
@@ -114,11 +86,6 @@ class MeshConfig:
     """Cadence of the worker health/load probe."""
     spawn_timeout_s: float = 20.0
     """How long to wait for a worker's socket to come up."""
-    shard_threshold_vertices: Optional[int] = 50_000
-    """Bitwise jobs pinned to ``backend="parallel"`` with at least this
-    many vertices take the cross-worker shard path; None disables it.
-    Unpinned jobs always forward, so their colors match
-    :func:`repro.color`."""
 
 
 def _worker_main(socket_path: str, config: ServiceConfig) -> None:
@@ -406,12 +373,6 @@ class ColoringMesh:
             request = request_from_wire(message)
         except BaseException as exc:
             return {"ok": False, "error": error_to_wire(exc)}
-        if self._wants_shard_path(request):
-            try:
-                result = self._color_sharded(request)
-                return {"ok": True, "result": result_to_wire(result)}
-            except BaseException as exc:
-                return {"ok": False, "error": error_to_wire(exc)}
         return self.forward(message, placement_key(request, request.graph))
 
     # ------------------------------------------------------------------
@@ -458,201 +419,6 @@ class ColoringMesh:
         if op == "session.close" and response.get("ok"):
             self._session_homes.pop(session_id, None)
         return response
-
-    # ------------------------------------------------------------------
-    # Cross-worker shard path
-    # ------------------------------------------------------------------
-    def _wants_shard_path(self, request) -> bool:
-        threshold = self.config.shard_threshold_vertices
-        return (
-            threshold is not None
-            and request.graph is not None
-            and request.graph.num_vertices >= threshold
-            and request.algorithm == "bitwise"
-            and request.backend == "parallel"
-            and request.engine is None
-            and set(request.opts) <= _SHARD_OPTS
-        )
-
-    def _color_sharded(self, request) -> JobResult:
-        """Partition-parallel coloring with worker processes as engines.
-
-        Byte-identical to
-        ``parallel_bitwise_coloring(graph, num_shards=…, partition=…,
-        prune_uncolored=…)`` — same shard subgraphs, same conflict rule,
-        same dependency rounds — because distribution only moves *who*
-        executes each disjoint-slot write, never the phase-start state
-        it reads.
-        """
-        t0 = time.monotonic()
-        graph = request.graph
-        num_shards = int(request.opts.get("num_shards") or DEFAULT_NUM_SHARDS)
-        strategy = str(request.opts.get("partition", "range"))
-        prune = bool(request.opts.get("prune_uncolored", False))
-        plan = partitioner_for(strategy)(graph, num_shards)
-        shared = SharedCSR.for_graph(graph)
-        spec_wire = shard_spec_to_wire(shared.spec)
-        workers = self.placement.live_workers
-        touched = set(workers)
-        with SharedI64Array(graph.num_vertices, fill=0) as colors_shm:
-            colors = colors_shm.array
-            base = {"spec": spec_wire, "colors_name": colors_shm.name}
-
-            # Phase 1 — speculative shard coloring, shards round-robined
-            # over the live workers.
-            shard_worker: Dict[int, str] = {}
-            groups: Dict[str, List[int]] = {}
-            for shard in range(num_shards):
-                owner = workers[shard % len(workers)] if workers else ""
-                shard_worker[shard] = owner
-                groups.setdefault(owner, []).append(shard)
-            self._scatter(
-                [
-                    (
-                        owner,
-                        {
-                            **base,
-                            "op": "shard.color",
-                            "shards": shards,
-                            "num_shards": num_shards,
-                            "strategy": strategy,
-                            "prune": prune,
-                        },
-                        lambda shards=shards: self._local_shard_color(
-                            graph, colors, shards, num_shards, strategy, prune
-                        ),
-                    )
-                    for owner, shards in groups.items()
-                ]
-            )
-
-            # Phase 2 — smaller-ID-wins boundary repair, round by round;
-            # each worker recolors the ready vertices of its own shards.
-            conflicted = find_cross_shard_conflicts(graph, plan, colors)
-            rounds = 0
-            if conflicted.size:
-                pending = np.zeros(graph.num_vertices, dtype=bool)
-                pending[conflicted] = True
-                colors[conflicted] = UNCOLORED
-                todo = conflicted
-                while todo.size:
-                    rounds += 1
-                    ready, todo = split_ready(graph, todo, pending)
-                    by_owner: Dict[str, List[np.ndarray]] = {}
-                    owners = plan.owner[ready]
-                    for shard in np.unique(owners):
-                        owner = shard_worker.get(int(shard), "")
-                        by_owner.setdefault(owner, []).append(
-                            ready[owners == shard]
-                        )
-                    self._scatter(
-                        [
-                            (
-                                owner,
-                                {
-                                    **base,
-                                    "op": "shard.repair",
-                                    "ready_i64": encode_colors(
-                                        np.concatenate(subset)
-                                    ),
-                                },
-                                lambda subset=subset: recolor_first_free(
-                                    graph, colors, np.concatenate(subset)
-                                ),
-                            )
-                            for owner, subset in by_owner.items()
-                        ]
-                    )
-                    pending[ready] = False
-            final = colors.copy()
-        for name in touched:
-            worker = self._workers.get(name)
-            if worker is not None and name in self.placement.live_workers:
-                with contextlib.suppress(Exception):
-                    worker.link.call({"op": "shard.release"})
-        used = np.unique(final[final != UNCOLORED])
-        total_s = time.monotonic() - t0
-        return JobResult(
-            colors=final,
-            n_colors=int(used.size),
-            algorithm="bitwise",
-            backend="parallel",
-            engine=None,
-            route=(
-                f"mesh-shard ({num_shards} shards x "
-                f"{max(1, len(workers))} workers, {rounds} repair rounds)"
-            ),
-            cache_hit=False,
-            batched=0,
-            attempts=1,
-            timings={"queue": 0.0, "execute": total_s, "total": total_s},
-        )
-
-    def _scatter(self, ops) -> None:
-        """Run (worker, message, local_fallback) ops concurrently.
-
-        Shard ops are idempotent, so a transport failure re-routes the
-        op to another live worker; with none left it runs in the router
-        itself — the mesh always completes a shard job it accepted.
-        """
-        if not ops:
-            return
-        errors: List[BaseException] = []
-
-        def run(op) -> None:
-            name, message, local = op
-            tried = set()
-            while True:
-                if name and name not in tried:
-                    tried.add(name)
-                    response = self._call_worker(name, message)
-                    if response is not None:
-                        if response.get("ok"):
-                            return
-                        errors.append(wire_to_error(response.get("error", {})))
-                        return
-                fallback = next(
-                    (
-                        w
-                        for w in self.placement.live_workers
-                        if w not in tried
-                    ),
-                    None,
-                )
-                if fallback is None:
-                    try:
-                        local()
-                    except BaseException as exc:  # pragma: no cover
-                        errors.append(exc)
-                    return
-                name = fallback
-
-        if len(ops) == 1:
-            run(ops[0])
-        else:
-            threads = [
-                threading.Thread(target=run, args=(op,), daemon=True)
-                for op in ops
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        if errors:
-            raise errors[0]
-
-    def _local_shard_color(
-        self, graph, colors, shards, num_shards, strategy, prune
-    ) -> None:
-        for shard in shards:
-            vertices, shard_colors = color_shard(
-                graph,
-                int(shard),
-                num_shards,
-                strategy=strategy,
-                prune_uncolored=prune,
-            )
-            colors[vertices] = shard_colors
 
     # ------------------------------------------------------------------
     # Introspection

@@ -74,8 +74,6 @@ __all__ = [
     "result_to_wire",
     "session_info_from_wire",
     "session_info_to_wire",
-    "shard_spec_from_wire",
-    "shard_spec_to_wire",
     "wire_to_error",
     "write_frame",
 ]
@@ -357,36 +355,4 @@ def apply_outcome_from_wire(payload: Dict[str, Any]):
         repair_rounds=int(payload.get("repair_rounds", 0)),
         churn=float(payload.get("churn", 0.0)),
         cache_invalidated=int(payload.get("cache_invalidated", 0)),
-    )
-
-
-# ----------------------------------------------------------------------
-# Mesh shard protocol (cross-worker shared-memory coloring)
-# ----------------------------------------------------------------------
-def shard_spec_to_wire(spec) -> Dict[str, Any]:
-    """JSON-safe rendering of a :class:`~repro.parallel.shm.CSRSpec`.
-
-    Only the block names and dimensions cross the wire — the graph
-    itself travels through shared memory.  ``meta`` is deliberately
-    dropped: colors are a pure function of the CSR arrays, and meta may
-    hold values JSON cannot carry.
-    """
-    return {
-        "offsets_name": spec.offsets_name,
-        "edges_name": spec.edges_name,
-        "num_vertices": int(spec.num_vertices),
-        "num_edges": int(spec.num_edges),
-        "graph_name": spec.graph_name,
-    }
-
-
-def shard_spec_from_wire(data: Dict[str, Any]):
-    from ..parallel.shm import CSRSpec
-
-    return CSRSpec(
-        offsets_name=str(data["offsets_name"]),
-        edges_name=str(data["edges_name"]),
-        num_vertices=int(data["num_vertices"]),
-        num_edges=int(data["num_edges"]),
-        graph_name=str(data.get("graph_name", "")),
     )

@@ -213,12 +213,6 @@ class ServiceServer:
                 session_id = str(message.get("session_id", ""))
                 await self._offload(self.service.sessions.close, session_id)
                 return {"ok": True, "closed": session_id}
-            if op == "shard.color":
-                return await self._handle_shard_color(message)
-            if op == "shard.repair":
-                return await self._handle_shard_repair(message)
-            if op == "shard.release":
-                return await self._handle_shard_release()
             raise ServiceError(f"unknown op {op!r}")
         except BaseException as exc:  # every failure becomes a frame
             return {"ok": False, "error": error_to_wire(exc)}
@@ -260,65 +254,6 @@ class ServiceServer:
 
         info = await self._offload(do_register)
         return {"ok": True, "session": session_info_to_wire(info)}
-
-    # ------------------------------------------------------------------
-    # Mesh shard ops: this worker's lane onto a shared-memory graph.
-    # The graph and the colors vector both live in named shared-memory
-    # blocks owned by the mesh router; only block names, shard indices
-    # and (tiny) ready lists cross the socket.  Every op is idempotent —
-    # shard coloring and ready-set recoloring are pure functions of
-    # phase-start state writing disjoint slots — so the router may replay
-    # an op on another worker after a death without corrupting anything.
-    # ------------------------------------------------------------------
-    async def _handle_shard_color(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        def work():
-            from ..parallel.coloring import color_shard
-            from ..parallel.shm import attach_array, attach_graph
-            from .protocol import shard_spec_from_wire
-
-            spec = shard_spec_from_wire(message["spec"])
-            graph = attach_graph(spec)
-            colors = attach_array(
-                str(message["colors_name"]), spec.num_vertices
-            )
-            shards = [int(s) for s in message.get("shards", [])]
-            for shard in shards:
-                vertices, shard_colors = color_shard(
-                    graph,
-                    shard,
-                    int(message["num_shards"]),
-                    strategy=str(message.get("strategy", "range")),
-                    prune_uncolored=bool(message.get("prune", False)),
-                )
-                colors[vertices] = shard_colors
-            return {"shards": shards}
-
-        return {"ok": True, "shard": await self._offload(work)}
-
-    async def _handle_shard_repair(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        def work():
-            from ..parallel.coloring import recolor_first_free
-            from ..parallel.shm import attach_array, attach_graph
-            from .protocol import decode_colors, shard_spec_from_wire
-
-            spec = shard_spec_from_wire(message["spec"])
-            graph = attach_graph(spec)
-            colors = attach_array(
-                str(message["colors_name"]), spec.num_vertices
-            )
-            ready = decode_colors(message.get("ready_i64", ""))
-            recolor_first_free(graph, colors, ready)
-            return {"repaired": int(ready.size)}
-
-        return {"ok": True, "shard": await self._offload(work)}
-
-    async def _handle_shard_release(self) -> Dict[str, Any]:
-        def work():
-            from ..parallel.shm import detach_all
-
-            return {"released": detach_all()}
-
-        return {"ok": True, "shard": await self._offload(work)}
 
     async def _handle_session_apply(
         self, message: Dict[str, Any]

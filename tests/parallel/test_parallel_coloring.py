@@ -131,6 +131,14 @@ class TestAccounting:
         with pytest.raises(ValueError):
             resolve_workers(-1)
 
+    def test_resolve_workers_follows_cpu_affinity(self, monkeypatch):
+        """An affinity-restricted host must not be oversubscribed."""
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_workers(None) == 1
+
 
 class TestFacadeIntegration:
     def test_color_backend_parallel(self, graph):

@@ -1,5 +1,8 @@
 """Tests for the shared-memory CSR transport."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -64,3 +67,64 @@ class TestSharedCSR:
 
         with SharedCSR(graph) as shared:
             assert len(pickle.dumps(shared.spec)) < 1024
+
+
+def _attached_count(_):
+    return os.getpid(), len(shm_mod._ATTACHED)
+
+
+def test_pool_workers_hold_one_graph_at_a_time():
+    from repro import color
+    from repro.parallel import pool_map
+
+    for seed in range(3):
+        color(erdos_renyi(3000, 0.004, seed=seed), "bitwise", backend="parallel", workers=2)
+    counts = dict(pool_map(_attached_count, range(8), 2))
+    assert counts and max(counts.values()) <= 1, counts
+
+
+_CRASHING_OWNER = """
+import os, signal
+import repro
+from repro.graph import erdos_renyi
+from repro.parallel import SharedCSR
+from repro.parallel.pool import shutdown_pools
+
+for seed in range(3):
+    g = erdos_renyi(3000, 0.004, seed=seed)
+    repro.color(g, "bitwise", backend="parallel", workers=2)
+spec = SharedCSR.for_graph(g).spec
+print(spec.offsets_name, spec.edges_name, flush=True)
+shutdown_pools()
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm") or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs POSIX shared memory under /dev/shm and the fork start method",
+)
+def test_owner_keeps_its_tracker_registration():
+    """Pool attachments must not unregister the owner's blocks: the
+    owner's unlink stays quiet, and a crashed owner's blocks are reaped
+    by the shared resource tracker instead of leaking."""
+    import subprocess
+    import sys
+    from multiprocessing import shared_memory
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    # stderr closes only once the tracker exits, i.e. after its cleanup.
+    proc = subprocess.run(
+        [sys.executable, "-c", _CRASHING_OWNER],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    names = proc.stdout.split()
+    leaked = [n for n in names if Path("/dev/shm", n.lstrip("/")).exists()]
+    for name in leaked:
+        shared_memory.SharedMemory(name=name).unlink()
+    assert len(names) == 2, proc.stderr
+    assert "KeyError" not in proc.stderr, proc.stderr
+    assert not leaked

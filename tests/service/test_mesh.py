@@ -1,4 +1,4 @@
-"""End-to-end mesh tests: routing, failover, shard path, one engine.
+"""End-to-end mesh tests: routing, failover, parallel pins, one engine.
 
 Everything here runs real worker processes (fork) over real Unix
 sockets; the pure placement policy is covered separately in
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import color as direct_color
-from repro.graph import erdos_renyi, rmat
+from repro.graph import erdos_renyi, rmat, road_grid
 from repro.obs import Registry
 from repro.service import (
     ColoringMesh,
@@ -35,7 +35,6 @@ def _mesh_config(**overrides) -> MeshConfig:
         "service",
         ServiceConfig(executors=1, registry=Registry(enabled=False)),
     )
-    overrides.setdefault("shard_threshold_vertices", None)
     return MeshConfig(**overrides)
 
 
@@ -90,38 +89,24 @@ def test_distinct_graphs_spread_over_workers(mesh):
 
 
 # ----------------------------------------------------------------------
-# Shard path
+# Parallel pins
 # ----------------------------------------------------------------------
-def test_shard_path_matches_parallel_backend():
-    g = erdos_renyi(900, 0.01, seed=42, name="mesh-shard")
+def test_parallel_pin_forwards_and_matches_parallel_backend():
+    """A parallel pin forwards to its home worker, which runs the shards
+    inline — same colors as the in-process pool."""
+    g = road_grid(256, 256)
     expected = direct_color(g, "bitwise", backend="parallel")
-    with ColoringMesh(_mesh_config(shard_threshold_vertices=100)) as m:
-        served = m.color(g, backend="parallel")
-        assert served.route.startswith("mesh-shard")
-        assert np.array_equal(served.colors, expected.colors)
-        assert served.n_colors == expected.n_colors
-        # Unpinned, the same graph forwards and colors like repro.color.
-        unpinned = m.color(g, retries=8)
-        assert not unpinned.route.startswith("mesh-shard")
-        assert np.array_equal(unpinned.colors, direct_color(g).colors)
-        # Below the threshold even a parallel pin forwards.
-        small = erdos_renyi(60, 0.1, seed=43, name="mesh-small")
-        forwarded = m.color(small, backend="parallel", retries=8)
-        assert not forwarded.route.startswith("mesh-shard")
-        assert np.array_equal(
-            forwarded.colors,
-            direct_color(small, "bitwise", backend="parallel").colors,
-        )
+    with ColoringMesh() as m:
+        served = m.color(g, backend="parallel", retries=8)
+    assert served.route == "direct backend=parallel (pinned)"
+    assert served.colors.tobytes() == expected.colors.tobytes()
+    assert served.n_colors == expected.n_colors
 
 
-def test_unpinned_large_graph_matches_direct_under_default_threshold():
+def test_unpinned_large_graph_matches_direct():
     g = rmat(16, 8, seed=3)
-    assert g.num_vertices >= MeshConfig().shard_threshold_vertices
-    with ColoringMesh(
-        _mesh_config(shard_threshold_vertices=MeshConfig().shard_threshold_vertices)
-    ) as m:
+    with ColoringMesh(_mesh_config()) as m:
         served = m.color(g, retries=8)
-    assert not served.route.startswith("mesh-shard")
     assert served.colors.tobytes() == direct_color(g).colors.tobytes()
 
 
