@@ -2,7 +2,7 @@
 
 Runs the channels x layout x parallelism sweep on the ``hbm2`` memory
 profile (see :mod:`repro.experiments.hbm_sweep`) plus the deterministic
-gate-10 smoke (engine parity on every profile x layout, delta-compressed
+``hbm`` gate smoke (engine parity on every profile x layout, delta-compressed
 edge-read-cycle floor).  Running the file directly regenerates the
 checked-in ``BENCH_hbm.json`` at ``tier="paper"``:
 
@@ -12,7 +12,7 @@ checked-in ``BENCH_hbm.json`` at ``tier="paper"``:
 from repro.experiments import (
     run_hbm_smoke,
     run_hbm_sweep,
-    write_hbm_results,
+    write_baseline,
 )
 from repro.experiments.hbm_sweep import MINI_SWEEP, SMOKE_MIN_DELTA_REDUCTION
 
@@ -50,6 +50,6 @@ def test_hbm_sweep(benchmark, once, capsys):
 if __name__ == "__main__":
     results = run_hbm_sweep()
     results["smoke"] = run_hbm_smoke()
-    path = write_hbm_results(results)
+    path = write_baseline("hbm", results)
     print(_render(results))
     print(f"\nwrote {path}")

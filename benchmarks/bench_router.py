@@ -11,7 +11,7 @@ regenerates the checked-in ``BENCH_router.json``:
     PYTHONPATH=src python benchmarks/bench_router.py
 """
 
-from repro.experiments import run_router_bench, write_router_results
+from repro.experiments import run_router_bench, write_baseline
 from repro.experiments.scenario_sweep import sweep_report
 
 
@@ -39,6 +39,6 @@ def test_router_rule(benchmark, once, capsys):
 
 if __name__ == "__main__":
     results = run_router_bench(repeats=3, progress=print)
-    path = write_router_results(results)
+    path = write_baseline("router", results)
     print(_render(results))
     print(f"\nwrote {path}")

@@ -11,7 +11,7 @@ kept.  Running the file directly regenerates the checked-in
     PYTHONPATH=src python benchmarks/bench_service.py
 """
 
-from repro.experiments import run_service_bench, write_service_results
+from repro.experiments import run_service_bench, write_baseline
 
 
 def _render(results):
@@ -48,6 +48,6 @@ def test_service_microbatching(benchmark, once, capsys):
 
 if __name__ == "__main__":
     results = run_service_bench(repeats=3)
-    path = write_service_results(results)
+    path = write_baseline("service", results)
     print(_render(results))
     print(f"\nwrote {path}")

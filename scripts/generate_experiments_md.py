@@ -200,10 +200,9 @@ def main(out_path: str = "EXPERIMENTS.md") -> None:
       "across every (channels × layout) cell.  Long-run graphs (CF, CO)\n"
       "keep paying at 32 channels; power-law graphs (EF, CL) cross the\n"
       "1.02 threshold everywhere — see docs/performance.md.\n\n")
-    from repro.experiments import load_hbm_results
-    from repro.experiments.hbm_sweep import DEFAULT_HBM_RESULT_PATH
+    from repro.experiments import load_baseline
 
-    hbm = load_hbm_results(DEFAULT_HBM_RESULT_PATH)
+    hbm = load_baseline("hbm")
     hbm_rows = []
     for row in hbm["crossover"]:
         if row["parallelism"] != 64 or row["layout"] != "plain":
@@ -221,7 +220,7 @@ def main(out_path: str = "EXPERIMENTS.md") -> None:
     )))
     red = hbm["smoke"]["delta_reduction"]
     w("\nDelta-compressed layout, modelled edge-read cycle reduction at\n"
-      "256-bit blocks (gate 10 floor 15 %): "
+      "256-bit blocks (`hbm` gate floor 15 %): "
       + ", ".join(f"{k} {100 * v:.0f} %" for k, v in red.items())
       + ".\n")
 

@@ -242,9 +242,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_hbm_sweep(args) -> int:
+    from .experiments.gates import write_baseline
     from .experiments.hbm_sweep import (
-        MINI_SWEEP, PAPER_SWEEP, check_hbm_smoke, run_hbm_smoke,
-        run_hbm_sweep, write_hbm_results,
+        MINI_SWEEP, PAPER_SWEEP, SMOKE_MIN_DELTA_REDUCTION, run_hbm_smoke,
+        run_hbm_sweep,
     )
 
     axes = dict(MINI_SWEEP if args.mini else PAPER_SWEEP)
@@ -267,13 +268,15 @@ def cmd_hbm_sweep(args) -> int:
           f"{len(stops)}/{len(results['crossover'])} "
           f"(dataset, P, layout) rows; colors byte-identical across cells")
     if args.out:
-        path = write_hbm_results(results, args.out)
+        path = write_baseline("hbm", results, args.out)
         print(f"sweep written to {path}")
     if args.check:
-        ok, current, floor = check_hbm_smoke(results)
+        # run_hbm_smoke above already asserted engine parity.
+        current = results["smoke"]["min_delta_reduction"]
+        floor = SMOKE_MIN_DELTA_REDUCTION
         print(f"gate: parity ok, min delta-compressed edge-read-cycle "
               f"reduction {current:.1%} (floor {floor:.1%})")
-        if not ok:
+        if current < floor:
             print("FAIL: delta-compressed layout fell below the "
                   "reduction floor")
             return 1

@@ -30,8 +30,8 @@ Colorings are asserted byte-identical across every cell of a dataset —
 layouts are encodings and MGR is a timing optimization, so neither may
 ever change colors.
 
-The smoke half (gate 10 of ``scripts/bench_smoke.py``) is fully
-deterministic — modeled cycles, no wall-clock timing:
+The smoke half (the ``hbm`` row of :mod:`repro.experiments.gates`) is
+fully deterministic — modeled cycles, no wall-clock timing:
 
 * **engine parity** — event vs batched stats/colors must match exactly
   on both memory profiles under all three edge layouts;
@@ -46,9 +46,7 @@ Running ``benchmarks/bench_hbm.py`` regenerates the checked-in
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -59,21 +57,15 @@ from .kernel_bench import smoke_graph
 
 __all__ = [
     "BANDWIDTH_STRESS_CACHE_SCALE",
-    "DEFAULT_HBM_RESULT_PATH",
     "MERGE_PAYS_THRESHOLD",
     "MINI_SWEEP",
     "PAPER_SWEEP",
     "SMOKE_DATASETS",
     "SMOKE_MIN_DELTA_REDUCTION",
-    "check_hbm_smoke",
-    "load_hbm_results",
     "render_hbm_figure",
     "run_hbm_smoke",
     "run_hbm_sweep",
-    "write_hbm_results",
 ]
-
-DEFAULT_HBM_RESULT_PATH = Path(__file__).resolve().parents[3] / "BENCH_hbm.json"
 
 #: Merge gain at or below which the merge buffer "stops paying" — a
 #: <= 2% makespan win does not buy the MGR buffer + sorted-edge
@@ -86,8 +78,9 @@ MERGE_PAYS_THRESHOLD = 1.02
 BANDWIDTH_STRESS_CACHE_SCALE = 0.1
 
 #: Floor for the delta-compressed layout's modeled edge-read-cycle
-#: reduction on the skewed stand-ins (gate 10).  Measured reductions sit
-#: at 25-45%, so 15% has real headroom without being vacuous.
+#: reduction on the skewed stand-ins (the ``hbm`` gate).  Measured
+#: reductions sit at 25-45%, so 15% has real headroom without being
+#: vacuous.
 SMOKE_MIN_DELTA_REDUCTION = 0.15
 
 #: Skewed stand-ins for the compression gate: the power-law/RMAT
@@ -303,7 +296,7 @@ def run_hbm_smoke(
     datasets: Iterable[str] = SMOKE_DATASETS,
     profiles: Sequence[str] = mem.PROFILE_NAMES,
 ) -> Dict[str, object]:
-    """Gate 10's deterministic smoke: engine parity on every
+    """The ``hbm`` gate's deterministic smoke: engine parity on every
     (profile x layout), then the delta-compressed edge-read-cycle
     reduction per skewed stand-in.  No timing anywhere."""
     graph = smoke_graph()
@@ -342,35 +335,3 @@ def run_hbm_smoke(
         "min_delta_reduction": min(reductions.values()),
         "floor": SMOKE_MIN_DELTA_REDUCTION,
     }
-
-
-def check_hbm_smoke(
-    baseline: Optional[Dict[str, object]] = None,
-    *,
-    floor: float = SMOKE_MIN_DELTA_REDUCTION,
-) -> Tuple[bool, float, float]:
-    """Gate 10: re-run the deterministic smoke and compare against the
-    absolute floor.  Returns ``(ok, current_min_reduction, floor)``;
-    parity failures raise (they are never a matter of degree).  The
-    optional ``baseline`` document is accepted for signature symmetry
-    with the other gates — the gate itself is deterministic, so the
-    checked-in numbers are an echo, not a tolerance."""
-    del baseline  # deterministic gate; see docstring
-    smoke = run_hbm_smoke()
-    current = float(smoke["min_delta_reduction"])
-    return current >= floor, current, floor
-
-
-def write_hbm_results(
-    results: Dict[str, object], path: Optional[Path] = None
-) -> Path:
-    """Write the result document as pretty-printed JSON; returns the path."""
-    path = DEFAULT_HBM_RESULT_PATH if path is None else Path(path)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def load_hbm_results(path: Optional[Path] = None) -> Dict[str, object]:
-    """Read a previously written result document."""
-    path = DEFAULT_HBM_RESULT_PATH if path is None else Path(path)
-    return json.loads(path.read_text())

@@ -11,8 +11,9 @@ that matrix:
 * **candidate set** — on every point, the measured-fastest
   parity-neutral backend must be ``microbatch`` or the software tier.
   Scored against the *recorded* seconds, so the check is deterministic
-  given the matrix: ``scripts/bench_smoke.py`` gate 9 re-scores the
-  checked-in ``BENCH_router.json`` without re-timing anything.
+  given the matrix: the ``router`` row of :mod:`repro.experiments.gates`
+  re-scores the checked-in ``BENCH_router.json`` without re-timing
+  anything.
 * **live parity** — one default service colors a few probe graphs,
   including a >= 50k-vertex skewed graph and a >= 50k-vertex regular
   one, and every result must be byte-identical to a direct
@@ -22,9 +23,7 @@ that matrix:
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -38,19 +37,10 @@ from .scenario_sweep import (
 )
 
 __all__ = [
-    "DEFAULT_ROUTER_RESULT_PATH",
-    "check_router_smoke",
-    "load_router_results",
     "off_rule_points",
     "run_router_bench",
     "run_router_parity",
-    "write_router_results",
 ]
-
-DEFAULT_ROUTER_RESULT_PATH = (
-    Path(__file__).resolve().parents[3] / "BENCH_router.json"
-)
-"""Checked-in routing results (the scenario-sweep matrix)."""
 
 _PARITY_PROBES = (
     (200, 0.3, 0.0, 4),
@@ -146,41 +136,3 @@ def run_router_bench(
             "parity_colorings_checked": run_router_parity(),
         },
     }
-
-
-def check_router_smoke(
-    baseline: Dict[str, object], *, live_parity: bool = True
-) -> Tuple[bool, Dict[str, object]]:
-    """Re-score the rule's candidate set on the checked-in matrix.
-
-    Returns ``(ok, current)`` where ``current`` carries the scored
-    point count, the ``off_rule`` points (empty when ``ok``) and the live
-    parity count.  The scoring is deterministic — a failure means the
-    matrix or the rule changed, not that the host is slow.
-    ``live_parity`` adds the byte-parity probe through a real service.
-    """
-    matrix = baseline.get("matrix")
-    if not isinstance(matrix, dict):
-        raise ValueError("router baseline has no sweep matrix")
-    off = off_rule_points(matrix)
-    current = {
-        "points": len(matrix["points"]),
-        "off_rule": off,
-        "parity_colorings_checked": run_router_parity() if live_parity else 0,
-    }
-    return not off, current
-
-
-def write_router_results(
-    results: Dict[str, object], path: Optional[Path] = None
-) -> Path:
-    """Write the result document as pretty-printed JSON; returns the path."""
-    path = DEFAULT_ROUTER_RESULT_PATH if path is None else Path(path)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def load_router_results(path: Optional[Path] = None) -> Dict[str, object]:
-    """Read a previously written result document."""
-    path = DEFAULT_ROUTER_RESULT_PATH if path is None else Path(path)
-    return json.loads(path.read_text())

@@ -13,18 +13,16 @@ Entry points mirror :mod:`repro.experiments.hw_bench`:
 
 * :func:`run_service_bench` — the fleet-size sweep, driven by
   ``benchmarks/bench_service.py``;
-* :func:`run_service_smoke` / :func:`check_service_smoke` — one fixed
-  small workload timed the same way, compared against the checked-in
-  baseline by ``scripts/bench_smoke.py`` (gate 4) so a batching
-  regression fails fast in CI.
+* :func:`run_service_smoke` — one fixed small workload timed the same
+  way, the measure of the ``service`` row in
+  :mod:`repro.experiments.gates` so a batching regression fails fast in
+  CI.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -33,19 +31,10 @@ from ..obs import Registry
 from .kernel_bench import _best_of
 
 __all__ = [
-    "DEFAULT_SERVICE_RESULT_PATH",
     "SERVICE_SMOKE_SPEC",
-    "check_service_smoke",
-    "load_service_results",
     "run_service_bench",
     "run_service_smoke",
-    "write_service_results",
 ]
-
-DEFAULT_SERVICE_RESULT_PATH = (
-    Path(__file__).resolve().parents[3] / "BENCH_service.json"
-)
-"""Checked-in service benchmark results at the repo root."""
 
 SERVICE_SMOKE_SPEC = (
     "24 x erdos_renyi(~120, p=0.08), closed loop, executors=2, "
@@ -172,8 +161,7 @@ def run_service_bench(
 def run_service_smoke(*, repeats: int = 3) -> Dict[str, object]:
     """The fixed small workload (see ``SERVICE_SMOKE_SPEC``), timed both ways.
 
-    The recorded ``baseline_speedup`` is what :func:`check_service_smoke`
-    compares future runs against.
+    The recorded ``baseline_speedup`` is the ``service`` gate's baseline.
     """
     graphs = _small_fleet(_SMOKE_JOBS)
     _assert_service_parity(graphs)
@@ -198,36 +186,3 @@ def run_service_smoke(*, repeats: int = 3) -> Dict[str, object]:
         if batched_s > 0
         else float("inf"),
     }
-
-
-def check_service_smoke(
-    baseline: Dict[str, object], *, factor: float = 2.0, repeats: int = 3
-) -> Tuple[bool, float, float]:
-    """Re-run the service smoke workload against a checked-in baseline.
-
-    Returns ``(ok, current_speedup, threshold)``; passes while the current
-    batched/unbatched throughput win stays above ``baseline / factor`` —
-    the shape of the batch lane silently falling apart (every job running
-    solo again).  The factor is generous: closed-loop service timings see
-    scheduler noise that kernel micro-benchmarks do not.
-    """
-    smoke = baseline.get("smoke", baseline)
-    baseline_speedup = float(smoke["baseline_speedup"])
-    current = float(run_service_smoke(repeats=repeats)["baseline_speedup"])
-    threshold = baseline_speedup / factor
-    return current >= threshold, current, threshold
-
-
-def write_service_results(
-    results: Dict[str, object], path: Optional[Path] = None
-) -> Path:
-    """Write the result document as pretty-printed JSON; returns the path."""
-    path = DEFAULT_SERVICE_RESULT_PATH if path is None else Path(path)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def load_service_results(path: Optional[Path] = None) -> Dict[str, object]:
-    """Read a previously written result document."""
-    path = DEFAULT_SERVICE_RESULT_PATH if path is None else Path(path)
-    return json.loads(path.read_text())

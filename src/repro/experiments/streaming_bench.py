@@ -22,18 +22,16 @@ Entry points mirror :mod:`repro.experiments.service_bench`:
 
 * :func:`run_streaming_bench` — the stream-size sweep, driven by
   ``benchmarks/bench_streaming.py``;
-* :func:`run_streaming_smoke` / :func:`check_streaming_smoke` — one
-  fixed scenario for ``scripts/bench_smoke.py`` (gate 7).  The gate is
-  an **absolute floor** (default ≥ 10x): the failure mode is the
-  incremental path silently degrading to per-batch full recolors, which
-  reads as ~1x.
+* :func:`run_streaming_smoke` — one fixed scenario, the measure of the
+  ``streaming`` row in :mod:`repro.experiments.gates`.  The row is an
+  **absolute floor** (≥ 10x): the failure mode is the incremental path
+  silently degrading to per-batch full recolors, which reads as ~1x
+  regardless of host speed.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -42,20 +40,11 @@ from ..graph.generators import rmat
 from .kernel_bench import _best_of
 
 __all__ = [
-    "DEFAULT_STREAMING_RESULT_PATH",
     "STREAMING_FLOOR_SPEEDUP",
     "STREAMING_SMOKE_SPEC",
-    "check_streaming_smoke",
-    "load_streaming_results",
     "run_streaming_bench",
     "run_streaming_smoke",
-    "write_streaming_results",
 ]
-
-DEFAULT_STREAMING_RESULT_PATH = (
-    Path(__file__).resolve().parents[3] / "BENCH_streaming.json"
-)
-"""Checked-in streaming benchmark results at the repo root."""
 
 STREAMING_FLOOR_SPEEDUP = 10.0
 """Acceptance floor: the session lane must sustain at least this many
@@ -267,38 +256,3 @@ def run_streaming_smoke(*, repeats: int = 3) -> Dict[str, object]:
         },
         "baseline_speedup": entry["speedup"],
     }
-
-
-def check_streaming_smoke(
-    baseline: Optional[Dict[str, object]] = None,
-    *,
-    floor: float = STREAMING_FLOOR_SPEEDUP,
-    repeats: int = 3,
-) -> Tuple[bool, float, float]:
-    """Re-run the streaming smoke; ``(ok, current_speedup, threshold)``.
-
-    The threshold is the absolute ``floor`` (≥ 10x by default), not a
-    ratio against the baseline: the regression this gate exists to catch
-    is the incremental path silently degrading to per-batch full
-    recolors, which reads as ~1x regardless of host speed.  ``baseline``
-    is accepted for interface symmetry with the other gates (its
-    recorded number is echoed by the caller) but does not move the bar.
-    """
-    del baseline  # absolute floor; see docstring
-    current = float(run_streaming_smoke(repeats=repeats)["baseline_speedup"])
-    return current >= floor, current, floor
-
-
-def write_streaming_results(
-    results: Dict[str, object], path: Optional[Path] = None
-) -> Path:
-    """Write the result document as pretty-printed JSON; returns the path."""
-    path = DEFAULT_STREAMING_RESULT_PATH if path is None else Path(path)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def load_streaming_results(path: Optional[Path] = None) -> Dict[str, object]:
-    """Read a previously written result document."""
-    path = DEFAULT_STREAMING_RESULT_PATH if path is None else Path(path)
-    return json.loads(path.read_text())

@@ -332,3 +332,20 @@ class TestHbmSweep:
         doc = json.loads(out_path.read_text())
         assert doc["colors_identical_across_cells"] is True
         assert {e["channels"] for e in doc["entries"]} == {4, 32}
+
+    def test_hbm_smoke_runs_once_under_check(self, monkeypatch, capsys):
+        from repro.experiments import hbm_sweep
+
+        calls = []
+        real = hbm_sweep.run_hbm_smoke
+        monkeypatch.setattr(
+            hbm_sweep, "run_hbm_smoke",
+            lambda: calls.append(1) or real(),
+        )
+        rc = main([
+            "hbm-sweep", "--mini", "--parallelisms", "8",
+            "--channels", "4,32", "--check", "--quiet",
+        ])
+        assert rc == 0
+        assert len(calls) == 1
+        assert "floor 15.0%" in capsys.readouterr().out
