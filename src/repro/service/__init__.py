@@ -21,8 +21,8 @@ The layers, innermost out (each its own module):
   engine tying those together;
 * :mod:`~repro.service.protocol` / :mod:`~repro.service.server` /
   :mod:`~repro.service.client` — the length-prefixed JSON wire format,
-  the asyncio Unix-socket front-end, and the unified in-process/socket
-  :class:`Client`.
+  the one asyncio Unix-socket frame server (behind both ``serve`` and
+  ``serve_mesh``), and the unified in-process/socket :class:`Client`.
 
 Quick start::
 

@@ -232,12 +232,8 @@ class Client:
 
     # ------------------------------------------------------------------
     def _roundtrip(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        assert self._sock is not None
-        with self._lock:
-            write_frame(self._sock, message)
-            response = read_frame(self._sock)
-        if response is None:
-            raise ServiceError("server closed the connection")
+        """:meth:`call`, raising the typed error of an ``ok: false`` frame."""
+        response = self.call(message)
         if not response.get("ok"):
             raise wire_to_error(response.get("error", {}))
         return response

@@ -173,6 +173,12 @@ class ExecutionEngine:
                 if not job.done:
                     self.run_single(job, decision)
 
+    def fail(self, job: Job, error: JobFailed) -> None:
+        """End a job that never reached a unit (its dispatch failed)
+        through the same terminal accounting as every other job."""
+        job.fail(error)
+        self._finish(job)
+
     # ------------------------------------------------------------------
     # Per-job stages
     # ------------------------------------------------------------------

@@ -24,16 +24,19 @@ Placement (:mod:`repro.service.placement`):
 Execution inside each worker is the unmodified
 :class:`~repro.service.execution.ExecutionEngine`: the mesh changes
 where a job runs, never what runs.
+
+The router is a thin relay.  Its socket is :class:`MeshServer`, the
+same :class:`~repro.service.server.FrameServer` that fronts a single
+service, with a :meth:`~MeshServer.handle` that passes each message to
+:class:`ColoringMesh`; each worker is a plain
+:func:`~repro.service.server.serve` process.  Framing, malformed-frame
+replies, signals and shutdown are therefore the single service's.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
-import json
 import os
-import signal
-import struct
 import tempfile
 import threading
 import time
@@ -55,18 +58,16 @@ from .jobs import (
 )
 from .placement import MeshPlacement, placement_key
 from .protocol import (
-    MAX_FRAME_BYTES,
-    error_to_wire,
+    error_reply,
     request_from_wire,
     request_to_wire,
+    result_from_wire,
     wire_to_error,
 )
-from .server import serve
+from .server import FrameServer, serve
 from .service import ServiceConfig
 
 __all__ = ["ColoringMesh", "MeshConfig", "MeshServer", "serve_mesh"]
-
-_LEN = struct.Struct(">I")
 
 
 @dataclass
@@ -358,8 +359,6 @@ class ColoringMesh:
         for attempt in range(attempts):
             response = self.handle_color_message(request_to_wire(request))
             if response.get("ok"):
-                from .protocol import result_from_wire
-
                 return result_from_wire(response["result"])
             error = wire_to_error(response.get("error", {}))
             if isinstance(error, RetryAfter) and attempt + 1 < attempts:
@@ -372,7 +371,7 @@ class ColoringMesh:
         try:
             request = request_from_wire(message)
         except BaseException as exc:
-            return {"ok": False, "error": error_to_wire(exc)}
+            return error_reply(exc)
         return self.forward(message, placement_key(request, request.graph))
 
     # ------------------------------------------------------------------
@@ -384,7 +383,7 @@ class ColoringMesh:
             try:
                 request = request_from_wire(message)
             except BaseException as exc:
-                return {"ok": False, "error": error_to_wire(exc)}
+                return error_reply(exc)
             response, worker = self._forward_traced(
                 message, placement_key(request, request.graph)
             )
@@ -397,25 +396,17 @@ class ColoringMesh:
         session_id = str(message.get("session_id", ""))
         home = self._session_homes.get(session_id)
         if home is None or home not in self.placement.live_workers:
-            return {
-                "ok": False,
-                "error": error_to_wire(
-                    SessionNotFound(
-                        f"unknown session {session_id!r} (no live owner "
-                        "in the mesh — its worker may have died)"
-                    )
-                ),
-            }
+            return error_reply(
+                SessionNotFound(
+                    f"unknown session {session_id!r} (no live owner "
+                    "in the mesh — its worker may have died)"
+                )
+            )
         response = self._call_worker(home, message)
         if response is None:
-            return {
-                "ok": False,
-                "error": error_to_wire(
-                    SessionNotFound(
-                        f"session {session_id!r} lost: its worker died"
-                    )
-                ),
-            }
+            return error_reply(
+                SessionNotFound(f"session {session_id!r} lost: its worker died")
+            )
         if op == "session.close" and response.get("ok"):
             self._session_homes.pop(session_id, None)
         return response
@@ -493,14 +484,15 @@ class ColoringMesh:
         self.close()
 
 
-class MeshServer:
+class MeshServer(FrameServer):
     """Unix-socket front-end over a :class:`ColoringMesh` router.
 
-    Speaks the same wire protocol as the single-service server — the
-    existing ``submit``/``submit-deltas`` CLI verbs and
-    :func:`~repro.service.client.connect` work unchanged against a mesh
-    socket — plus the ``mesh.status`` op behind the ``mesh-status``
-    verb.
+    The same :class:`~repro.service.server.FrameServer` as the
+    single-service server, so the existing ``submit``/``submit-deltas``
+    CLI verbs and :func:`~repro.service.client.connect` work unchanged
+    against a mesh socket; :meth:`handle` adds the ``mesh.status`` op
+    behind the ``mesh-status`` verb and otherwise relays each message to
+    the router.
     """
 
     def __init__(
@@ -510,133 +502,24 @@ class MeshServer:
         *,
         owns_mesh: bool = False,
     ):
+        super().__init__(socket_path)
         self.mesh = mesh
-        self.socket_path = Path(socket_path)
         self.owns_mesh = owns_mesh
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
+        """Whether :meth:`stop` also closes (drains) the mesh."""
 
-    async def start(self) -> None:
-        if self._server is not None:
-            raise ServiceError("server already started")
-        self.socket_path.parent.mkdir(parents=True, exist_ok=True)
-        if self.socket_path.exists():
-            self.socket_path.unlink()
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_unix_server(
-            self._handle_connection, path=str(self.socket_path)
-        )
-        self._started.set()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        with contextlib.suppress(OSError):
-            self.socket_path.unlink()
+    def close_owned(self) -> None:
         if self.owns_mesh:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.mesh.close
-            )
-        self._started.clear()
+            self.mesh.close()
 
-    def run_in_thread(self, *, timeout: float = 10.0) -> "MeshServer":
-        def runner() -> None:
-            asyncio.run(self._run_until_stopped())
-
-        self._stop_event: Optional[asyncio.Event] = None
-        self._thread = threading.Thread(
-            target=runner, name="repro-mesh-server", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise ServiceError(
-                f"mesh server did not bind {self.socket_path} within {timeout}s"
-            )
-        return self
-
-    async def _run_until_stopped(self) -> None:
-        self._stop_event = asyncio.Event()
-        await self.start()
-        await self._stop_event.wait()
-        await self.stop()
-
-    def shutdown(self, *, timeout: float = 60.0) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout)
-        if self._thread.is_alive():  # pragma: no cover - defensive
-            raise ServiceError("mesh server thread did not stop in time")
-        self._thread = None
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(_LEN.size)
-                except asyncio.IncompleteReadError:
-                    break  # clean EOF
-                (length,) = _LEN.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    await self._send(
-                        writer,
-                        {
-                            "ok": False,
-                            "error": {
-                                "type": "ServiceError",
-                                "message": "frame exceeds protocol cap",
-                            },
-                        },
-                    )
-                    break
-                body = await reader.readexactly(length)
-                response = await self._dispatch(json.loads(body.decode()))
-                await self._send(writer, response)
-        except asyncio.CancelledError:
-            pass  # loop teardown mid-connection (router shutdown)
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, payload: Dict[str, Any]
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
-        writer.write(_LEN.pack(len(body)) + body)
-        await writer.drain()
-
-    async def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
         op = str(message.get("op", ""))
-        try:
-            if op == "ping":
-                return {"ok": True, "pong": True}
-            if op in ("status", "mesh.status"):
-                return {
-                    "ok": True,
-                    "status": await self._offload(self.mesh.status),
-                }
-            if op == "color":
-                return await self._offload(
-                    self.mesh.handle_color_message, message
-                )
-            if op.startswith("session."):
-                return await self._offload(self.mesh.forward_session, message)
-            raise ServiceError(f"unknown op {op!r}")
-        except BaseException as exc:  # every failure becomes a frame
-            return {"ok": False, "error": error_to_wire(exc)}
-
-    async def _offload(self, fn, *args):
-        return await asyncio.get_running_loop().run_in_executor(
-            None, fn, *args
-        )
+        if op in ("status", "mesh.status"):
+            return {"ok": True, "status": self.mesh.status()}
+        if op == "color":
+            return self.mesh.handle_color_message(message)
+        if op.startswith("session."):
+            return self.mesh.forward_session(message)
+        raise ServiceError(f"unknown op {op!r}")
 
 
 def serve_mesh(
@@ -656,28 +539,4 @@ def serve_mesh(
     """
     owns = mesh is None
     router = mesh if mesh is not None else ColoringMesh(config)
-    server = MeshServer(router, socket_path, owns_mesh=owns)
-
-    async def main() -> None:
-        server._stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
-                loop.add_signal_handler(sig, server._stop_event.set)
-        await server.start()
-        if ready is not None:
-            ready.set()
-        try:
-            await server._stop_event.wait()
-        except asyncio.CancelledError:  # pragma: no cover - loop teardown
-            task = asyncio.current_task()
-            if task is not None and hasattr(task, "uncancel"):
-                task.uncancel()
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        if owns:
-            router.close()
+    MeshServer(router, socket_path, owns_mesh=owns).serve_forever(ready)

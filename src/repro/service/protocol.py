@@ -1,7 +1,13 @@
 """Wire protocol of the coloring service's socket front-end.
 
 Deliberately boring: every message is a **4-byte big-endian length
-prefix followed by one UTF-8 JSON object**, in both directions.  Graphs
+prefix followed by one UTF-8 JSON object**, in both directions.  This
+module owns that frame format: :func:`encode_frame` builds a frame,
+:func:`frame_length` checks a length prefix against the cap, and
+:func:`decode_body` turns a body into a message or raises
+:class:`~repro.service.jobs.ServiceError`.  The blocking
+:func:`write_frame`/:func:`read_frame` pair and the asyncio front-end of
+:mod:`repro.service.server` both frame bytes through them.  Graphs
 and color arrays ride inside the JSON as base64-encoded little-endian
 ``int64`` buffers — the same arrays a :class:`~repro.graph.csr.CSRGraph`
 holds, so decoding is a zero-parse ``np.frombuffer`` and a round-tripped
@@ -57,16 +63,21 @@ from .jobs import (
 )
 
 __all__ = [
+    "HEADER_BYTES",
     "MAX_FRAME_BYTES",
     "apply_outcome_from_wire",
     "apply_outcome_to_wire",
+    "decode_body",
     "decode_colors",
     "decode_edge_pairs",
     "decode_graph",
     "encode_colors",
     "encode_edge_pairs",
+    "encode_frame",
     "encode_graph",
+    "error_reply",
     "error_to_wire",
+    "frame_length",
     "read_frame",
     "request_from_wire",
     "request_to_wire",
@@ -80,29 +91,55 @@ __all__ = [
 
 _LEN = struct.Struct(">I")
 
+HEADER_BYTES = _LEN.size
+"""Length of the big-endian ``uint32`` prefix in front of every body."""
+
 MAX_FRAME_BYTES = 256 << 20
 """Refuse frames past 256 MiB — a corrupt length prefix must not turn
 into an allocation bomb."""
 
 
 # ----------------------------------------------------------------------
-# Framing (blocking sockets; the asyncio server has stream equivalents)
+# Framing
 # ----------------------------------------------------------------------
-def write_frame(sock: socket.socket, payload: Dict[str, Any]) -> None:
+def encode_frame(payload: Dict[str, Any]) -> bytes:
+    """Length prefix + UTF-8 JSON body of one message."""
     body = json.dumps(payload, sort_keys=True).encode()
-    sock.sendall(_LEN.pack(len(body)) + body)
+    return _LEN.pack(len(body)) + body
+
+
+def frame_length(header: bytes) -> int:
+    """Body length announced by a length prefix, checked against the cap."""
+    (length,) = _LEN.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ServiceError(f"frame of {length} bytes exceeds the protocol cap")
+    return length
+
+
+def decode_body(body: bytes) -> Dict[str, Any]:
+    """One frame body as a message; anything but a UTF-8 JSON object
+    raises :class:`ServiceError`."""
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ServiceError(f"malformed frame body: {exc}") from None
+    if not isinstance(message, dict):
+        raise ServiceError(
+            f"frame body must be a JSON object, not {type(message).__name__}"
+        )
+    return message
+
+
+def write_frame(sock: socket.socket, payload: Dict[str, Any]) -> None:
+    sock.sendall(encode_frame(payload))
 
 
 def read_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
     """One decoded frame, or None on clean EOF before any byte."""
-    header = _read_exact(sock, _LEN.size, eof_ok=True)
+    header = _read_exact(sock, HEADER_BYTES, eof_ok=True)
     if header is None:
         return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ServiceError(f"frame of {length} bytes exceeds the protocol cap")
-    body = _read_exact(sock, length, eof_ok=False)
-    return json.loads(body.decode())
+    return decode_body(_read_exact(sock, frame_length(header), eof_ok=False))
 
 
 def _read_exact(
@@ -220,6 +257,11 @@ def error_to_wire(exc: BaseException) -> Dict[str, Any]:
     if isinstance(exc, RetryAfter):
         wire["retry_after_s"] = exc.retry_after_s
     return wire
+
+
+def error_reply(exc: BaseException) -> Dict[str, Any]:
+    """The ``ok: false`` response frame carrying ``exc``."""
+    return {"ok": False, "error": error_to_wire(exc)}
 
 
 def wire_to_error(wire: Dict[str, Any]) -> ServiceError:

@@ -1,71 +1,90 @@
-"""Asyncio socket front-end over :class:`~repro.service.service.ColoringService`.
+"""Asyncio socket front-end: one frame server behind ``serve`` and ``serve_mesh``.
 
-The server listens on a **Unix domain socket** (local by construction —
-no TCP surface) and speaks the length-prefixed JSON protocol of
-:mod:`repro.service.protocol`.  Each connection is one asyncio task;
-many requests may be in flight per connection and across connections,
-because the blocking submit-and-wait against the in-process service runs
-in the event loop's thread pool — the loop itself only frames bytes.
+:class:`FrameServer` is the whole socket side of the service.  It
+listens on a **Unix domain socket** (local by construction — no TCP
+surface), reads the length-prefixed JSON frames of
+:mod:`repro.service.protocol`, and answers each one:
+
+* ``ping`` is answered on the event loop itself;
+* every other op runs through one blocking :meth:`FrameServer.handle`
+  on the loop's thread pool, which returns the response frame — the
+  loop never decodes a graph, waits on a job or encodes a result;
+* any failure — a malformed body, an unknown op, a rejected job — comes
+  back as an ``ok: false`` frame with a typed error, and the connection
+  keeps serving (the length prefix keeps the stream in sync).  Only a
+  length prefix over the protocol cap ends the connection, after one
+  error frame.
+
+Two subclasses differ only in :meth:`~FrameServer.handle` and in what
+:meth:`~FrameServer.stop` closes: :class:`ServiceServer` here fronts one
+in-process :class:`~repro.service.service.ColoringService`, and
+:class:`~repro.service.mesh.MeshServer` fronts a mesh router.
 
 Embedding options, outermost first:
 
 * :func:`serve` — build a service, bind the socket, run until
-  interrupted, then drain and shut down.  This is the CLI's
-  ``repro serve`` verb.
-* :class:`ServiceServer` with :meth:`ServiceServer.run_in_thread` — a
-  running server on a background thread, for tests and applications
-  that embed serving next to other work.
-* :class:`ServiceServer` ``start``/``stop`` coroutines for callers with
-  their own event loop.
+  ``SIGINT``/``SIGTERM``, then drain and shut down.  This is the CLI's
+  ``repro serve`` verb (:func:`~repro.service.mesh.serve_mesh` is the
+  mesh twin, through the same :meth:`FrameServer.serve_forever`).
+* :meth:`FrameServer.run_in_thread` — a running server on a background
+  thread, for tests and applications that embed serving next to other
+  work; :meth:`FrameServer.shutdown` stops it.
+* :meth:`FrameServer.start`/:meth:`FrameServer.stop` coroutines for
+  callers with their own event loop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import signal
-import struct
 import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from .jobs import ServiceError
 from .protocol import (
-    MAX_FRAME_BYTES,
+    HEADER_BYTES,
     apply_outcome_to_wire,
+    decode_body,
     decode_edge_pairs,
     encode_colors,
-    error_to_wire,
+    encode_frame,
+    error_reply,
+    frame_length,
     request_from_wire,
     result_to_wire,
     session_info_to_wire,
 )
 from .service import ColoringService, ServiceConfig
 
-__all__ = ["ServiceServer", "serve"]
+__all__ = ["FrameServer", "ServiceServer", "serve"]
 
-_LEN = struct.Struct(">I")
+_PONG = encode_frame({"ok": True, "pong": True})
 
 
-class ServiceServer:
-    """One Unix-socket listener bound to one :class:`ColoringService`."""
+class FrameServer:
+    """One Unix-socket listener answering frames through :meth:`handle`."""
 
-    def __init__(
-        self,
-        service: ColoringService,
-        socket_path: Union[str, Path],
-        *,
-        owns_service: bool = False,
-    ):
-        self.service = service
+    def __init__(self, socket_path: Union[str, Path]):
         self.socket_path = Path(socket_path)
-        self.owns_service = owns_service
-        """Whether :meth:`stop` also closes (drains) the service."""
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
+        self._stop_event: Optional[asyncio.Event] = None
         self._started = threading.Event()
+
+    # ------------------------------------------------------------------
+    # What subclasses provide
+    # ------------------------------------------------------------------
+    def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Answer one decoded non-``ping`` message (blocking; runs on the
+        loop's thread pool).  Raising is fine: the error becomes the
+        reply frame."""
+        raise NotImplementedError
+
+    def close_owned(self) -> None:
+        """Close what this server owns once it stops listening (blocking)."""
 
     # ------------------------------------------------------------------
     # Async lifecycle
@@ -89,25 +108,57 @@ class ServiceServer:
             self._server = None
         with contextlib.suppress(OSError):
             self.socket_path.unlink()
-        if self.owns_service:
-            # Drain in a worker thread: close() blocks on in-flight jobs.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.service.close
-            )
+        # Off the loop: closing a service drains its in-flight jobs.
+        await asyncio.get_running_loop().run_in_executor(None, self.close_owned)
         self._started.clear()
 
+    async def _run_until_stopped(
+        self, *, signals: bool = False, ready: Optional[threading.Event] = None
+    ) -> None:
+        self._stop_event = asyncio.Event()
+        if signals:
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
+                    loop.add_signal_handler(sig, self._stop_event.set)
+        await self.start()
+        if ready is not None:
+            ready.set()
+        try:
+            await self._stop_event.wait()
+        except asyncio.CancelledError:  # pragma: no cover - loop teardown
+            # Swallowing a cancel leaves the task in a cancelling state
+            # where every further await re-raises; undo it so the clean
+            # stop (drain!) below can actually run its awaits.
+            task = asyncio.current_task()
+            if task is not None and hasattr(task, "uncancel"):
+                task.uncancel()
+        finally:
+            await self.stop()
+
     # ------------------------------------------------------------------
-    # Threaded lifecycle (tests, embedding)
+    # Blocking entry points
     # ------------------------------------------------------------------
-    def run_in_thread(self, *, timeout: float = 10.0) -> "ServiceServer":
+    def serve_forever(self, ready: Optional[threading.Event] = None) -> None:
+        """Serve on this thread until ``SIGINT``/``SIGTERM``, then stop.
+
+        SIGTERM matters operationally: supervisors (systemd, CI) send
+        it, and processes backgrounded by non-interactive shells inherit
+        SIGINT ignored, so ctrl-C semantics alone are not enough.
+        ``ready`` is set once the socket is bound.
+        """
+        try:
+            asyncio.run(self._run_until_stopped(signals=True, ready=ready))
+        except KeyboardInterrupt:  # pragma: no cover - interactive path
+            self.close_owned()
+
+    def run_in_thread(self, *, timeout: float = 10.0) -> "FrameServer":
         """Start the server on a dedicated event-loop thread; returns self."""
-
-        def runner() -> None:
-            asyncio.run(self._run_until_stopped())
-
-        self._stop_event: Optional[asyncio.Event] = None
+        self._stop_event = None
         self._thread = threading.Thread(
-            target=runner, name="repro-service-server", daemon=True
+            target=lambda: asyncio.run(self._run_until_stopped()),
+            name=f"repro-{type(self).__name__}",
+            daemon=True,
         )
         self._thread.start()
         if not self._started.wait(timeout):
@@ -116,14 +167,8 @@ class ServiceServer:
             )
         return self
 
-    async def _run_until_stopped(self) -> None:
-        self._stop_event = asyncio.Event()
-        await self.start()
-        await self._stop_event.wait()
-        await self.stop()
-
-    def shutdown(self, *, timeout: float = 30.0) -> None:
-        """Stop a threaded server: unbind, optionally drain, join."""
+    def shutdown(self, *, timeout: float = 60.0) -> None:
+        """Stop a threaded server: unbind, close what it owns, join."""
         if self._thread is None:
             return
         if self._loop is not None and self._stop_event is not None:
@@ -142,107 +187,81 @@ class ServiceServer:
         try:
             while True:
                 try:
-                    header = await reader.readexactly(_LEN.size)
+                    header = await reader.readexactly(HEADER_BYTES)
                 except asyncio.IncompleteReadError:
                     break  # clean EOF
-                (length,) = _LEN.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    await self._send(
-                        writer,
-                        {
-                            "ok": False,
-                            "error": {
-                                "type": "ServiceError",
-                                "message": "frame exceeds protocol cap",
-                            },
-                        },
-                    )
+                try:
+                    length = frame_length(header)
+                except ServiceError as exc:
+                    # Past the cap the stream cannot be resynced: answer
+                    # once, then hang up.
+                    writer.write(encode_frame(error_reply(exc)))
+                    await writer.drain()
                     break
                 body = await reader.readexactly(length)
-                response = await self._dispatch(json.loads(body.decode()))
-                await self._send(writer, response)
-        except asyncio.CancelledError:
-            # Loop teardown cancels handlers whose peer (e.g. a mesh
-            # router's pooled link) is still connected at shutdown; end
-            # quietly instead of logging a cancellation traceback.
+                writer.write(await self._answer(body))
+                await writer.drain()
+        except (asyncio.CancelledError, asyncio.IncompleteReadError, ConnectionError):
+            # The peer left mid-frame, or loop teardown cancelled a
+            # handler whose peer (e.g. a mesh router's pooled link) is
+            # still connected: nothing is left to answer.
             pass
         finally:
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, payload: Dict[str, Any]
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
-        writer.write(_LEN.pack(len(body)) + body)
-        await writer.drain()
-
-    async def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        op = message.get("op")
+    async def _answer(self, body: bytes) -> bytes:
         try:
-            if op == "ping":
-                return {"ok": True, "pong": True}
-            if op == "status":
-                return {"ok": True, "status": self.service.status()}
-            if op == "color":
-                return await self._handle_color(message)
-            if op == "session.register":
-                return await self._handle_session_register(message)
-            if op == "session.apply":
-                return await self._handle_session_apply(message)
-            if op == "session.verify":
-                session_id = str(message.get("session_id", ""))
-                summary = await self._offload(
-                    self.service.sessions.verify, session_id
-                )
-                return {"ok": True, "verify": summary}
-            if op == "session.colors":
-                session_id = str(message.get("session_id", ""))
-                colors = await self._offload(
-                    self.service.sessions.colors, session_id
-                )
-                return {"ok": True, "colors_i64": encode_colors(colors)}
-            if op == "session.describe":
-                session_id = str(message.get("session_id", ""))
-                info = await self._offload(
-                    self.service.sessions.describe, session_id
-                )
-                return {"ok": True, "session": info}
-            if op == "session.close":
-                session_id = str(message.get("session_id", ""))
-                await self._offload(self.service.sessions.close, session_id)
-                return {"ok": True, "closed": session_id}
-            raise ServiceError(f"unknown op {op!r}")
-        except BaseException as exc:  # every failure becomes a frame
-            return {"ok": False, "error": error_to_wire(exc)}
-
-    async def _offload(self, fn, *args):
-        """Run blocking service work on the loop's default thread pool —
-        never on the loop itself, which only frames bytes."""
+            message = decode_body(body)
+        except ServiceError as exc:
+            return encode_frame(error_reply(exc))
+        if message.get("op") == "ping":
+            return _PONG
         return await asyncio.get_running_loop().run_in_executor(
-            None, fn, *args
+            None, self._handle_frame, message
         )
 
-    async def _handle_color(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        request = request_from_wire(message)
+    def _handle_frame(self, message: Dict[str, Any]) -> bytes:
+        try:
+            return encode_frame(self.handle(message))
+        except Exception as exc:  # every failure becomes a frame
+            return encode_frame(error_reply(exc))
 
-        def submit_and_wait():
-            job = self.service.submit(request)  # RetryAfter propagates
-            return job.result_or_raise()
 
-        result = await self._offload(submit_and_wait)
-        return {"ok": True, "result": result_to_wire(result)}
+class ServiceServer(FrameServer):
+    """One Unix-socket listener bound to one :class:`ColoringService`."""
 
-    async def _handle_session_register(
-        self, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        # Reuse the color-envelope decoding (graph/dataset, algorithm,
-        # backend, opts) — register's knobs are a superset of color's.
-        request = request_from_wire(message)
+    def __init__(
+        self,
+        service: ColoringService,
+        socket_path: Union[str, Path],
+        *,
+        owns_service: bool = False,
+    ):
+        super().__init__(socket_path)
+        self.service = service
+        self.owns_service = owns_service
+        """Whether :meth:`stop` also closes (drains) the service."""
 
-        def do_register():
-            return self.service.sessions.register(
+    def close_owned(self) -> None:
+        if self.owns_service:
+            self.service.close()
+
+    def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        op = message.get("op")
+        service = self.service
+        sessions = service.sessions
+        if op == "status":
+            return {"ok": True, "status": service.status()}
+        if op == "color":
+            job = service.submit(request_from_wire(message))  # RetryAfter propagates
+            return {"ok": True, "result": result_to_wire(job.result_or_raise())}
+        if op == "session.register":
+            # Reuse the color-envelope decoding (graph/dataset, algorithm,
+            # backend, opts) — register's knobs are a superset of color's.
+            request = request_from_wire(message)
+            info = sessions.register(
                 request.graph,
                 dataset=request.dataset,
                 algorithm=request.algorithm,
@@ -251,28 +270,27 @@ class ServiceServer:
                 timeout_s=request.timeout_s,
                 **request.opts,
             )
-
-        info = await self._offload(do_register)
-        return {"ok": True, "session": session_info_to_wire(info)}
-
-    async def _handle_session_apply(
-        self, message: Dict[str, Any]
-    ) -> Dict[str, Any]:
+            return {"ok": True, "session": session_info_to_wire(info)}
         session_id = str(message.get("session_id", ""))
-        additions = decode_edge_pairs(message.get("additions_i64", ""))
-        removals = decode_edge_pairs(message.get("removals_i64", ""))
-        add_vertices = int(message.get("add_vertices", 0))
-
-        def do_apply():
-            return self.service.sessions.apply(
+        if op == "session.apply":
+            outcome = sessions.apply(
                 session_id,
-                additions=additions,
-                removals=removals,
-                add_vertices=add_vertices,
+                additions=decode_edge_pairs(message.get("additions_i64", "")),
+                removals=decode_edge_pairs(message.get("removals_i64", "")),
+                add_vertices=int(message.get("add_vertices", 0)),
             )
-
-        outcome = await self._offload(do_apply)
-        return {"ok": True, "apply": apply_outcome_to_wire(outcome)}
+            return {"ok": True, "apply": apply_outcome_to_wire(outcome)}
+        if op == "session.verify":
+            return {"ok": True, "verify": sessions.verify(session_id)}
+        if op == "session.colors":
+            colors = sessions.colors(session_id)
+            return {"ok": True, "colors_i64": encode_colors(colors)}
+        if op == "session.describe":
+            return {"ok": True, "session": sessions.describe(session_id)}
+        if op == "session.close":
+            sessions.close(session_id)
+            return {"ok": True, "closed": session_id}
+        raise ServiceError(f"unknown op {op!r}")
 
 
 def serve(
@@ -288,39 +306,9 @@ def serve(
     ``service``), binds the socket, and blocks.  ``SIGINT``/``SIGTERM``
     (or :meth:`ServiceServer.shutdown` from another thread) trigger the
     clean path: stop accepting, drain queued and in-flight jobs, close
-    the service.  SIGTERM matters operationally: supervisors (systemd,
-    CI) send it, and processes backgrounded by non-interactive shells
-    inherit SIGINT ignored, so ctrl-C semantics alone are not enough.
-    ``ready`` is set once the socket is bound (used by embedding tests
-    to know when to connect).
+    the service.  ``ready`` is set once the socket is bound (used by
+    embedding tests to know when to connect).
     """
     owns = service is None
     svc = service if service is not None else ColoringService(config)
-    server = ServiceServer(svc, socket_path, owns_service=owns)
-
-    async def main() -> None:
-        server._stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
-                loop.add_signal_handler(sig, server._stop_event.set)
-        await server.start()
-        if ready is not None:
-            ready.set()
-        try:
-            await server._stop_event.wait()
-        except asyncio.CancelledError:  # pragma: no cover - loop teardown
-            # Swallowing a cancel leaves the task in a cancelling state
-            # where every further await re-raises; undo it so the clean
-            # stop (drain!) below can actually run its awaits.
-            task = asyncio.current_task()
-            if task is not None and hasattr(task, "uncancel"):
-                task.uncancel()
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        if owns:
-            svc.close()
+    ServiceServer(svc, socket_path, owns_service=owns).serve_forever(ready)

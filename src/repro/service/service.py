@@ -358,8 +358,7 @@ class ColoringService:
             try:
                 self._dispatch_one(job)
             except Exception as exc:  # defensive: dispatcher must survive
-                job.fail(JobFailed(f"dispatch error: {exc!r}"))
-                self.engine._finish(job)
+                self.engine.fail(job, JobFailed(f"dispatch error: {exc!r}"))
                 self._unit_slots.release()
 
     def _dispatch_one(self, job: Job) -> None:

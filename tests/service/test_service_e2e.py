@@ -161,6 +161,34 @@ class TestRobustness:
         assert np.array_equal(result.colors, repro.color(graph).colors)
         assert svc.registry.counters["service.retries"] >= 1
 
+    def test_dispatch_error_fails_the_job_and_releases_accounting(
+        self, service_factory, monkeypatch
+    ):
+        svc = service_factory(executors=1)
+        real_decide = svc.placement.decide
+        calls = []
+
+        def decide_fails_once(request, graph):
+            calls.append(request.job_id)
+            if len(calls) == 1:
+                raise RuntimeError("placement blew up")
+            return real_decide(request, graph)
+
+        monkeypatch.setattr(svc.placement, "decide", decide_fails_once)
+        client = Client(svc)
+        with pytest.raises(JobFailed, match="dispatch error"):
+            client.color(erdos_renyi(60, 0.1, seed=5))
+        assert svc.drain(timeout=5)
+        status = svc.status()
+        assert status["inflight"] == 0
+        assert status["queue_depth"] == 0
+        assert svc.registry.counters["service.jobs.failed"] == 1
+        graph = erdos_renyi(70, 0.1, seed=6)
+        assert np.array_equal(
+            client.color(graph).colors, repro.color(graph).colors
+        )
+        assert len(calls) == 2
+
     def test_saturated_queue_sheds_not_hangs(self, service_factory):
         release = threading.Event()
 
