@@ -472,10 +472,10 @@ class BitColorAccelerator:
                 ]
             )
 
-        used = np.unique(colors[colors != 0])
         return AcceleratorResult(
             colors=colors,
-            num_colors=int(used.size),
+            # Ascending first-fit uses every color from 1 to its maximum.
+            num_colors=int(colors.max()) if colors.size else 0,
             stats=stats,
             config=cfg,
             flags=flags,

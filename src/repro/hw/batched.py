@@ -2,32 +2,34 @@
 
 The event-driven engine (:meth:`~repro.hw.accelerator.BitColorAccelerator._run`)
 steps Python loops per task and per neighbour, which caps the stand-ins
-at thousands of vertices.  This module computes the *same* model one
-dispatch epoch at a time:
+at thousands of vertices.  This module computes the *same* model in
+three parts:
 
 1. **Functional result** — the accelerator's coloring provably equals
    the sequential greedy coloring in ascending-ID order (the dependency
-   protocol delivers every conflict value before it is consumed), so the
-   colors come straight from the vectorized bitwise kernel path.
-2. **Per-task precompute (vectorized)** — for each epoch of tasks, one
-   NumPy pass over the epoch's CSR slice derives every data-dependent
-   per-task quantity: prune boundaries and comparator counts (PUV, with
-   the per-row sortedness check), HDV/LDV fetch splits (HDC), edge-block
-   streaming counts, and the MGR/stream structure of each task's LDV
-   block sequence — collapsed run count ``k``, internal merges, stream
-   continuations, first/last block, whether run 1 continues run 0.
-   These use the :mod:`repro.kernels` segment primitives.
+   protocol delivers every conflict value before it is consumed).  The
+   Python replay takes the colors straight from the vectorized bitwise
+   kernel path; the native replay colors each task from its lower
+   neighbours as it reaches it.
+2. **Per-task precompute** — prune boundaries and comparator counts
+   (PUV, with the per-row sortedness check), HDV/LDV fetch splits (HDC),
+   edge-block streaming counts, and the MGR/stream structure of each
+   task's LDV block sequence — collapsed run count ``k``, internal
+   merges, stream continuations, first/last block, whether run 1
+   continues run 0.  The Python replay derives these in one NumPy pass
+   per epoch (the :mod:`repro.kernels` segment primitives); the native
+   replay derives them from each task's CSR row.
 3. **Schedule recurrence (scalar, O(P) per task)** — dispatch order,
    PE binding and the finish-time recurrence are inherently sequential,
    so a lean loop replays exactly the event engine's schedule: dispatch
    floor, first-idle-PE selection, physical-DRAM-channel queueing,
    conflict deferral against in-flight lower neighbours, merge-buffer
    carry across tasks (with write-back invalidation), and stalls.  The
-   recurrence has two interchangeable implementations selected by the
-   ``replay=`` parameter: the reference Python loop below, and the
-   compiled loop of the native kernel tier (:mod:`repro.kernels.native`)
-   — one epoch per call, identical schedule and stats, used by default
-   when the capability probe succeeds.
+   ``replay=`` parameter selects the reference Python loop below or the
+   native kernel tier (:mod:`repro.kernels.native`), which does parts
+   1-3 for the whole run in one compiled pass over the CSR — identical
+   colors, schedule and stats, used by default when the capability
+   probe succeeds.
 
 Because the recurrence replays the schedule exactly, *every* stats field
 — including the timing-dependent ones (conflicts, merged_reads,
@@ -76,12 +78,10 @@ class _Epoch:
     """Vectorized per-task precompute for tasks ``lo .. hi-1``."""
 
     __slots__ = (
-        "lo", "hi",
         # hot per-task lists (epoch-local index)
         "comp_trav", "dram_b", "delta_a", "c0", "clast",
         # correction-path arrays (numpy, epoch-local index)
-        "edge_dram", "hdv_fetch", "k", "mi", "ldv_cnt",
-        "ldv_ptr", "ldv_dst", "ldv_blk",
+        "edge_dram", "k", "mi", "ldv_ptr", "ldv_dst", "ldv_blk",
         # conflict candidates
         "low_ptr", "low_dst",
         # epoch totals of the vectorized parts
@@ -98,7 +98,6 @@ def _precompute_epoch(
     cfg: HWConfig,
     flags: OptimizationFlags,
     *,
-    scalar_lists: bool = True,
     layout: Optional[EdgeLayout] = None,
 ) -> _Epoch:
     offsets = graph.offsets
@@ -208,44 +207,22 @@ def _precompute_epoch(
     )
 
     ep = _Epoch()
-    ep.lo, ep.hi = lo, hi
     low_ptr, low_dst = conflict_candidates(offsets, edges, lo, hi)
-    if scalar_lists:
-        # The Python replay loop indexes plain lists (faster than numpy
-        # scalar access by ~3x in a tight loop).
-        ep.comp_trav = comp_trav.tolist()
-        ep.dram_b = (edge_dram + dram_b_color).tolist()
-        ep.delta_a = delta_a.tolist()
-        ep.c0 = c0.tolist()
-        ep.clast = clast.tolist()
-        ep.edge_dram = edge_dram
-        ep.k = k
-        ep.mi = mi
-        ep.ldv_ptr = ldv_ptr.tolist()
-        ep.ldv_dst = ldv_dst.tolist()
-        ep.ldv_blk = blocks.tolist()
-        ep.low_ptr = low_ptr.tolist()
-        ep.low_dst = low_dst.tolist()
-    else:
-        # The native replay takes contiguous int64 arrays verbatim.
-        def a64(x):
-            return np.ascontiguousarray(x, dtype=np.int64)
-
-        ep.comp_trav = a64(comp_trav)
-        ep.dram_b = a64(edge_dram + dram_b_color)
-        ep.delta_a = a64(delta_a)
-        ep.c0 = c0
-        ep.clast = clast
-        ep.edge_dram = a64(edge_dram)
-        ep.k = a64(k)
-        ep.mi = a64(mi)
-        ep.ldv_ptr = a64(ldv_ptr)
-        ep.ldv_dst = a64(ldv_dst)
-        ep.ldv_blk = a64(blocks)
-        ep.low_ptr = a64(low_ptr)
-        ep.low_dst = a64(low_dst)
-    ep.hdv_fetch = hdv_fetch
-    ep.ldv_cnt = ldv_cnt
+    # The Python replay loop indexes plain lists (faster than numpy
+    # scalar access by ~3x in a tight loop).
+    ep.comp_trav = comp_trav.tolist()
+    ep.dram_b = (edge_dram + dram_b_color).tolist()
+    ep.delta_a = delta_a.tolist()
+    ep.c0 = c0.tolist()
+    ep.clast = clast.tolist()
+    ep.edge_dram = edge_dram
+    ep.k = k
+    ep.mi = mi
+    ep.ldv_ptr = ldv_ptr.tolist()
+    ep.ldv_dst = ldv_dst.tolist()
+    ep.ldv_blk = blocks.tolist()
+    ep.low_ptr = low_ptr.tolist()
+    ep.low_dst = low_dst.tolist()
     ep.sum_pruned = int(pruned.sum())
     ep.sum_cache = int(hdv_fetch.sum())
     ep.sum_ldv = int(ldv_cnt.sum())
@@ -256,96 +233,39 @@ def _precompute_epoch(
     return ep
 
 
-def run_batched(
-    graph: CSRGraph,
-    config: HWConfig,
-    flags: OptimizationFlags,
-    *,
-    trace: bool = False,
-    epoch_size: int = DEFAULT_EPOCH_TASKS,
-    replay: str = "auto",
-    layout: str = DEFAULT_LAYOUT,
-):
-    """Run the batched engine; returns an ``AcceleratorResult``.
+def _check_max_colors(colors: np.ndarray, max_colors: int) -> None:
+    if colors.size and int(colors.max()) > max_colors:
+        v = int(np.flatnonzero(colors > max_colors)[0])
+        raise ValueError(f"vertex {v} needs color {colors[v]} > max {max_colors}")
 
-    Produces byte-identical colors and an exactly matching
-    ``AcceleratorStats`` relative to the event-driven engine (see module
-    docstring), at one-to-two orders of magnitude lower wall clock.
 
-    ``replay`` selects the implementation of the scalar schedule
-    recurrence (step 3): ``"auto"`` uses the compiled native kernel tier
-    when its capability probe succeeds (and the Python loop otherwise),
-    ``"python"`` pins the reference loop, ``"native"`` prefers the
-    compiled loop but still falls back to Python when no compiler
-    backend is usable (the strict form is ``repro.kernels.native.require``).
-    Both replays produce identical stats — the parity suite pins this.
-    Trace capture records per-task rows, which only the Python loop
-    emits: ``trace=True`` silently pins ``replay="auto"`` to Python and
-    rejects an explicit ``replay="native"``.
-
-    ``layout`` selects the edge-array encoding (repro.graph.layout);
-    compressed layouts change only the per-task edge-block counts fed to
-    the precompute, so the schedule recurrence — and the parity contract
-    with the event engine — is untouched.
-    """
-    from ..coloring.bitwise import bitwise_greedy_coloring
-    from .accelerator import AcceleratorResult, AcceleratorStats
-
-    cfg = config
-    if cfg.dram_stream_cycles <= 1 or cfg.dram_read_occupancy_cycles <= 1:
-        raise ValueError(
-            "engine='batched' requires dram_stream_cycles > 1 and "
-            "dram_read_occupancy_cycles > 1; use engine='event' for "
-            "degenerate DRAM cost settings"
-        )
-    if epoch_size < 1:
-        raise ValueError("epoch_size must be >= 1")
-    if replay not in ("auto", "python", "native"):
-        raise ValueError(
-            f"unknown replay {replay!r}; allowed: auto, python, native"
-        )
-    if trace and replay == "native":
-        raise ValueError(
-            "trace capture requires replay='python' (per-task rows are "
-            "only recorded by the Python replay loop); drop trace= or "
-            "the replay pin"
-        )
-    validate_layout(layout)
-    edge_layout = (
-        None
-        if layout == DEFAULT_LAYOUT
-        else build_layout(graph, layout, edge_index_bits=cfg.edge_index_bits)
+def _record_epoch(obs, epoch, epoch_size, n, first_start, maxfin, conflicts, stall):
+    """One ``hw.batched.epoch`` span: the epoch's dispatch-to-finish window."""
+    lo = epoch * epoch_size
+    tasks = min(lo + epoch_size, n) - lo
+    obs.record_span(
+        "hw.batched.epoch", max(first_start, 0), maxfin, epoch=epoch,
+        first_vertex=lo, tasks=tasks, conflicts=conflicts, stall_cycles=stall,
     )
-    native_impl = None
-    if not trace and replay in ("auto", "native"):
-        from ..kernels import native as _native
+    obs.add("hw.batched.epochs")
+    obs.add("hw.batched.epoch.tasks", tasks)
 
-        if _native.available():
-            native_impl = _native.require()
-    use_native = native_impl is not None
+
+def _replay_python(graph, cfg, flags, v_t, pe_bind_arr, fin_bwc, layout,
+                   epoch_size, trace, obs):
+    """The reference replay: ``(colors, totals, trace rows or None)``."""
+    from ..coloring.bitwise import bitwise_greedy_coloring
+
     n = graph.num_vertices
     p = cfg.parallelism
-    v_t = cfg.v_t(n) if flags.hdc else 0
-    obs = get_registry()
-
-    # ------------------------------------------------------------------
     # Functional result: the accelerator's coloring equals the ascending
     # sequential greedy coloring (tests pin this for the event engine).
-    # ------------------------------------------------------------------
     colors = bitwise_greedy_coloring(
         graph, prune_uncolored=False, backend="vectorized"
     ).colors.astype(np.int64, copy=True)
-    if n and int(colors.max()) > cfg.max_colors:
-        over = np.flatnonzero(colors > cfg.max_colors)
-        v_bad = int(over[0])
-        raise ValueError(
-            f"vertex {v_bad} needs color {int(colors[v_bad])} "
-            f"> max {cfg.max_colors}"
-        )
-    colors_l = colors.tolist() if (not flags.bwc and not use_native) else None
-
-    pe_bind_arr = np.ascontiguousarray(static_pe_binding(n, v_t, p), dtype=np.int64)
-    pe_bind = pe_bind_arr.tolist() if not use_native else None
+    _check_max_colors(colors, cfg.max_colors)
+    colors_l = colors.tolist() if not flags.bwc else None
+    pe_bind = pe_bind_arr.tolist()
 
     # --- scalar schedule state ----------------------------------------
     mgr = flags.mgr
@@ -357,11 +277,6 @@ def run_batched(
     rc = cfg.dram_read_occupancy_cycles - 1
     sc = cfg.dram_stream_cycles - 1
     cpb = cfg.colors_per_block
-    fin_bwc = 0
-    if bwc:
-        from ..coloring.bitset import CascadedMuxCompressor
-
-        fin_bwc = 1 + CascadedMuxCompressor.LATENCY_CYCLES
 
     free = [0] * p
     seen = [1] * p                      # per-PE max color seen (non-BWC)
@@ -372,25 +287,6 @@ def run_batched(
     pending_w: List = []                # (finish, block) LDV writes awaiting commit
     floor = 0
     maxfin = 0
-
-    if use_native:
-        # The compiled replay keeps the same schedule state in int64
-        # arrays; the packed ``nstate`` vector carries the scalars
-        # (floor, maxfin, heap size, epoch first-start) and all fourteen
-        # accumulators across epochs.  The pending-write heap is a
-        # finish-keyed binary heap — the Python heap's (finish, block)
-        # tie-break is unobservable because every entry with
-        # finish <= t is drained before any carry is read.
-        free_a = np.zeros(p, dtype=np.int64)
-        seen_a = np.ones(p, dtype=np.int64)
-        carry_a = np.full(p, -1, dtype=np.int64)
-        finish_a = np.zeros(n, dtype=np.int64)
-        servers_a = np.zeros(ns, dtype=np.int64)
-        heap_cap = max(n - v_t, 1)
-        heap_fin = np.zeros(heap_cap, dtype=np.int64)
-        heap_blk = np.zeros(heap_cap, dtype=np.int64)
-        dlist_buf = np.zeros(1, dtype=np.int64)
-        nstate = np.zeros(18, dtype=np.int64)
 
     # accumulators
     tot_comp = tot_dram = tot_wc = tot_stall = tot_queue = 0
@@ -405,10 +301,7 @@ def run_batched(
 
     for lo in range(0, n, epoch_size):
         hi = min(lo + epoch_size, n)
-        ep = _precompute_epoch(
-            graph, lo, hi, v_t, cfg, flags,
-            scalar_lists=not use_native, layout=edge_layout,
-        )
+        ep = _precompute_epoch(graph, lo, hi, v_t, cfg, flags, layout=layout)
         sum_pruned += ep.sum_pruned
         sum_cache += ep.sum_cache
         sum_ldv += ep.sum_ldv
@@ -416,45 +309,6 @@ def run_batched(
         sum_k += ep.sum_k
         sum_blocks_needed += ep.sum_blocks_needed
         sum_blocks_saved += ep.sum_blocks_saved
-
-        if use_native:
-            # One compiled call replays the whole epoch's recurrence.
-            nstate[3] = -1  # epoch first-start, set at the first dispatch
-            ep_conflicts0 = int(nstate[9])
-            ep_stall0 = int(nstate[7])
-            dmax = int(np.max(np.diff(ep.low_ptr)))
-            if dmax > dlist_buf.size:
-                dlist_buf = np.zeros(dmax, dtype=np.int64)
-            native_impl.replay_epoch(
-                (
-                    lo, hi - lo, v_t, p, ns, int(mgr), int(bwc), interval,
-                    wc_ldv, or_cyc, hitx, rc, sc, cpb, fin_bwc,
-                ),
-                (
-                    ep.comp_trav, ep.dram_b, ep.delta_a, ep.c0, ep.clast,
-                    ep.edge_dram, ep.mi, ep.k, ep.low_ptr, ep.low_dst,
-                    ep.ldv_ptr, ep.ldv_dst, ep.ldv_blk,
-                ),
-                (
-                    pe_bind_arr, colors, free_a, seen_a, carry_a,
-                    finish_a, servers_a, heap_fin, heap_blk, dlist_buf,
-                    nstate,
-                ),
-            )
-            if obs.enabled:
-                obs.record_span(
-                    "hw.batched.epoch",
-                    max(int(nstate[3]), 0),
-                    int(nstate[1]),
-                    epoch=lo // epoch_size,
-                    first_vertex=lo,
-                    tasks=hi - lo,
-                    conflicts=int(nstate[9]) - ep_conflicts0,
-                    stall_cycles=int(nstate[7]) - ep_stall0,
-                )
-                obs.add("hw.batched.epochs")
-                obs.add("hw.batched.epoch.tasks", hi - lo)
-            continue
 
         comp_l = ep.comp_trav
         dram_l = ep.dram_b
@@ -631,37 +485,130 @@ def run_batched(
                 )
 
         if obs.enabled:
-            obs.record_span(
-                "hw.batched.epoch",
-                max(ep_first_start, 0),
-                maxfin,
-                epoch=lo // epoch_size,
-                first_vertex=lo,
-                tasks=hi - lo,
-                conflicts=conflicts - ep_conflicts0,
-                stall_cycles=tot_stall - ep_stall0,
+            _record_epoch(
+                obs, lo // epoch_size, epoch_size, n, ep_first_start, maxfin,
+                conflicts - ep_conflicts0, tot_stall - ep_stall0,
             )
-            obs.add("hw.batched.epochs")
-            obs.add("hw.batched.epoch.tasks", hi - lo)
 
-    if use_native:
-        # Unpack the compiled replay's packed state into the same scalar
-        # accumulators the Python loop maintains.
-        maxfin = int(nstate[1])
-        tot_comp = int(nstate[4])
-        tot_dram = int(nstate[5])
-        tot_wc = int(nstate[6])
-        tot_stall = int(nstate[7])
-        tot_queue = int(nstate[8])
-        conflicts = int(nstate[9])
-        count_a = int(nstate[10])
-        conf_mi = int(nstate[11])
-        conf_merged = int(nstate[12])
-        conf_k = int(nstate[13])
-        conf_misses = int(nstate[14])
-        conf_ldv_base = int(nstate[15])
-        conf_ldv_reads = int(nstate[16])
-        conf_hdv_occ = int(nstate[17])
+    totals = (
+        maxfin, tot_comp, tot_dram, tot_wc, tot_stall, tot_queue, conflicts,
+        count_a, conf_mi, conf_merged, conf_k, conf_misses, conf_ldv_base,
+        conf_ldv_reads, conf_hdv_occ, sum_pruned, sum_cache, sum_ldv, sum_mi,
+        sum_k, sum_blocks_needed, sum_blocks_saved,
+    )
+    return colors, totals, tr_rows
+
+
+def run_batched(
+    graph: CSRGraph,
+    config: HWConfig,
+    flags: OptimizationFlags,
+    *,
+    trace: bool = False,
+    epoch_size: int = DEFAULT_EPOCH_TASKS,
+    replay: str = "auto",
+    layout: str = DEFAULT_LAYOUT,
+):
+    """Run the batched engine; returns an ``AcceleratorResult``.
+
+    Produces byte-identical colors and an exactly matching
+    ``AcceleratorStats`` relative to the event-driven engine (see module
+    docstring), at one-to-two orders of magnitude lower wall clock.
+
+    ``replay`` selects the implementation of the scalar schedule
+    recurrence (step 3): ``"auto"`` uses the compiled native kernel tier
+    when its capability probe succeeds (and the Python loop otherwise),
+    ``"python"`` pins the reference loop, ``"native"`` prefers the
+    compiled loop but still falls back to Python when no compiler
+    backend is usable (the strict form is ``repro.kernels.native.require``).
+    Both replays produce identical stats — the parity suite pins this.
+    The native replay is one compiled call per run, whatever
+    ``epoch_size`` is.  Trace capture records per-task rows, which only
+    the Python loop emits: ``trace=True`` silently pins
+    ``replay="auto"`` to Python and rejects an explicit
+    ``replay="native"``.
+
+    ``layout`` selects the edge-array encoding (repro.graph.layout);
+    compressed layouts change only the per-task edge-block counts fed to
+    the precompute, so the schedule recurrence — and the parity contract
+    with the event engine — is untouched.
+    """
+    from .accelerator import AcceleratorResult, AcceleratorStats
+
+    cfg = config
+    if cfg.dram_stream_cycles <= 1 or cfg.dram_read_occupancy_cycles <= 1:
+        raise ValueError(
+            "engine='batched' requires dram_stream_cycles > 1 and "
+            "dram_read_occupancy_cycles > 1; use engine='event' for "
+            "degenerate DRAM cost settings"
+        )
+    if epoch_size < 1:
+        raise ValueError("epoch_size must be >= 1")
+    if replay not in ("auto", "python", "native"):
+        raise ValueError(
+            f"unknown replay {replay!r}; allowed: auto, python, native"
+        )
+    if trace and replay == "native":
+        raise ValueError(
+            "trace capture requires replay='python' (per-task rows are "
+            "only recorded by the Python replay loop); drop trace= or "
+            "the replay pin"
+        )
+    validate_layout(layout)
+    edge_layout = (
+        None
+        if layout == DEFAULT_LAYOUT
+        else build_layout(graph, layout, edge_index_bits=cfg.edge_index_bits)
+    )
+    native_impl = None
+    if not trace and replay in ("auto", "native"):
+        from ..kernels import native as _native
+
+        if _native.available():
+            native_impl = _native.require()
+    n = graph.num_vertices
+    v_t = cfg.v_t(n) if flags.hdc else 0
+    obs = get_registry()
+    pe_bind = static_pe_binding(n, v_t, cfg.parallelism)
+    fin_bwc = 0
+    if flags.bwc:
+        from ..coloring.bitset import CascadedMuxCompressor
+
+        fin_bwc = 1 + CascadedMuxCompressor.LATENCY_CYCLES
+
+    tr_rows = None
+    if native_impl is None:
+        colors, totals, tr_rows = _replay_python(
+            graph, cfg, flags, v_t, pe_bind, fin_bwc, edge_layout,
+            epoch_size, trace, obs,
+        )
+    else:
+        # One compiled call colors every task, derives its per-task
+        # inputs from its CSR row and replays its schedule; it stops at
+        # the first vertex needing a color above max_colors.
+        colors, totals, epoch_rows = native_impl.replay_epoch(
+            graph, pe_bind, edge_layout,
+            (
+                v_t, cfg.parallelism, max(cfg.dram_physical_channels, 1),
+                flags.puv, flags.mgr, flags.bwc, cfg.dispatch_interval_cycles,
+                cfg.task_setup_cycles, cfg.dram_write_cycles,
+                cfg.conflict_or_cycles, cfg.cache_hit_cycles - 1,
+                cfg.dram_read_occupancy_cycles - 1, cfg.dram_stream_cycles - 1,
+                cfg.colors_per_block, cfg.edges_per_block,
+                cfg.dram_block_bits, fin_bwc, cfg.max_colors,
+            ),
+            epoch_size,
+        )
+        _check_max_colors(colors, cfg.max_colors)
+        if obs.enabled:
+            for epoch, row in enumerate(epoch_rows):
+                _record_epoch(obs, epoch, epoch_size, n, *row)
+    (
+        maxfin, tot_comp, tot_dram, tot_wc, tot_stall, tot_queue, conflicts,
+        count_a, conf_mi, conf_merged, conf_k, conf_misses, conf_ldv_base,
+        conf_ldv_reads, conf_hdv_occ, sum_pruned, sum_cache, sum_ldv, sum_mi,
+        sum_k, sum_blocks_needed, sum_blocks_saved,
+    ) = totals
 
     # ------------------------------------------------------------------
     # Fold the vectorized totals and the scalar corrections into the
@@ -698,10 +645,10 @@ def run_batched(
     stats.edge_blocks_saved = sum_blocks_saved
 
     execution_trace = ExecutionTrace(tasks=tr_rows) if trace else None
-    used = np.unique(colors[colors != 0])
     return AcceleratorResult(
         colors=colors,
-        num_colors=int(used.size),
+        # Ascending first-fit uses every color from 1 to its maximum.
+        num_colors=int(colors.max()) if n else 0,
         stats=stats,
         config=cfg,
         flags=flags,

@@ -1,8 +1,9 @@
 """Opt-in native (compiled) kernel tier behind a capability probe.
 
 ``backend="native"`` compiles the three hottest loops of the repo — the
-Stage-0 scatter-OR, the Stage-1 batch first-free-color, and the batched
-accelerator engine's scalar replay recurrence — and is **never a hard
+Stage-0 scatter-OR, the Stage-1 batch first-free-color, and a whole
+batched accelerator run (coloring, per-task precompute and the scalar
+replay recurrence in one pass over the CSR) — and is **never a hard
 dependency**: importing this package touches no compiler, and detection
 only runs when a caller first asks (:func:`available`, :func:`require`,
 or one of the drop-in kernels below).
@@ -66,7 +67,7 @@ def _self_check(impl) -> None:
     A tiny fixed input exercising the semantics corners that matter:
     dead slots (color 0), the word-boundary colors 64/65, duplicate rows,
     and NumPy's negative-row wraparound.  Any mismatch disqualifies the
-    backend (the replay recurrence is covered by the batched-engine
+    backend (the whole-run replay is covered by the batched-engine
     parity suite instead — it needs a whole engine run to exercise).
     """
     from ..bitmatrix import first_free_colors_packed as ff_ref

@@ -22,14 +22,16 @@ selected):
 * ``bc_first_free`` — Stage 1 first-free-color via the paper's
   ``(~state) & (state + 1)`` bit trick and a hardware popcount, with the
   same all-words-saturated overflow contract;
-* ``bc_replay_epoch`` — the batched accelerator engine's scalar replay
-  recurrence (dispatch floor, first-idle-PE selection, merge-buffer
-  carry + write-commit invalidation via a binary min-heap, conflict
-  deferral, physical-channel queueing) over one epoch of precomputed
-  per-task arrays.  The heap is keyed on finish time alone: the Python
-  engine's ``(finish, block)`` tuple tie-break is unobservable because
-  the commit loop drains *every* entry with ``finish <= t`` and carry
-  invalidation commutes.
+* ``bc_replay_run`` — a whole batched accelerator run in one ascending
+  pass over the CSR: each task is colored from its lower neighbours
+  (the same first-free step), its per-task cycle inputs are derived from
+  its row (the quantities the Python replay precomputes per epoch), and
+  the scalar replay recurrence runs (dispatch floor, first-idle-PE
+  selection, merge-buffer carry + write-commit invalidation via a binary
+  min-heap, conflict deferral, physical-channel queueing).  The heap is
+  keyed on finish time alone: the Python engine's ``(finish, block)``
+  tuple tie-break is unobservable because the commit loop drains
+  *every* entry with ``finish <= t`` and carry invalidation commutes.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ __all__ = ["load"]
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define WORD_BITS 64LL
 #define FULL_WORD 0xFFFFFFFFFFFFFFFFULL
@@ -165,133 +169,194 @@ static i64 heap_pop(i64 *hf, i64 *hb, i64 *size)
     return blk;
 }
 
-/* Persistent scalar state shared across epochs, packed into state[]. */
-#define S_FLOOR      0
-#define S_MAXFIN     1
-#define S_HEAP_SIZE  2
-#define S_EP_FIRST   3
-#define S_TOT_COMP   4
-#define S_TOT_DRAM   5
-#define S_TOT_WC     6
-#define S_TOT_STALL  7
-#define S_TOT_QUEUE  8
-#define S_CONFLICTS  9
-#define S_COUNT_A    10
-#define S_CONF_MI    11
-#define S_CONF_MERGED 12
-#define S_CONF_K     13
-#define S_CONF_MISSES 14
-#define S_CONF_LDV_BASE 15
-#define S_CONF_LDV_READS 16
-#define S_CONF_HDV_OCC 17
-
-/* One dispatch epoch of the batched engine's replay recurrence; a
- * line-for-line transliteration of the Python loop in hw/batched.py. */
-i64 bc_replay_epoch(
-    i64 lo, i64 nloc, i64 v_t, i64 p, i64 ns, i64 mgr, i64 bwc,
-    i64 interval, i64 wc_ldv, i64 or_cyc, i64 hitx, i64 rc, i64 sc,
-    i64 cpb, i64 fin_bwc,
-    const i64 *comp_l, const i64 *dram_l, const i64 *da_l,
-    const i64 *c0_l, const i64 *cl_l,
-    const i64 *edge_dram, const i64 *mi_l, const i64 *k_l,
-    const i64 *lptr, const i64 *ldst,
-    const i64 *vptr, const i64 *vdst, const i64 *vblk,
-    const i64 *pe_bind, const i64 *colors,
-    i64 *pe_free, i64 *seen, i64 *carry, i64 *finish_v, i64 *servers,
-    i64 *heap_fin, i64 *heap_blk, i64 *dlist, i64 *state)
+static int in_list(const i64 *a, i64 len, i64 x)
 {
-    i64 floor_t = state[S_FLOOR];
-    i64 maxfin = state[S_MAXFIN];
-    i64 heap_size = state[S_HEAP_SIZE];
-    i64 ep_first = state[S_EP_FIRST];
+    for (i64 j = 0; j < len; j++)
+        if (a[j] == x)
+            return 1;
+    return 0;
+}
 
-    for (i64 vl = 0; vl < nloc; vl++) {
-        i64 v = lo + vl;
+/* Edge blocks read for the first cnt entries of row v: plain CSR packs
+ * epb entries per block; a compressed layout packs an hb[v]-bit header
+ * and eb[v]-bit entries (kernels.prefix_block_counts). */
+static i64 prefix_blocks(const i64 *hb, const i64 *eb, i64 v, i64 cnt,
+                         i64 epb, i64 block_bits)
+{
+    if (cnt <= 0)
+        return 0;
+    return hb ? (hb[v] + (cnt - 1) * eb[v] + block_bits - 1) / block_bits
+              : (cnt + epb - 1) / epb;
+}
+
+/* Run totals, in the order hw/batched.py unpacks them. */
+enum { A_MAXFIN, A_COMP, A_DRAM, A_WC, A_STALL, A_QUEUE, A_CONFLICTS,
+       A_COUNT_A, A_CONF_MI, A_CONF_MERGED, A_CONF_K, A_CONF_MISSES,
+       A_CONF_LDV_BASE, A_CONF_LDV_READS, A_CONF_HDV_OCC, A_PRUNED,
+       A_CACHE, A_LDV, A_MI, A_K, A_BLOCKS_NEEDED, A_BLOCKS_SAVED };
+
+/* A whole batched-engine run in one ascending pass over the CSR; the
+ * recurrence transliterates the Python loop in hw/batched.py.  Each
+ * task v is colored from its lower neighbours (Algorithm 2), its
+ * per-task inputs are derived from row v, and its schedule is replayed.
+ * Writes colors, the run totals and one (first start, maxfin,
+ * conflicts, stall) row per epoch_size tasks.  Stops at the first
+ * vertex whose color exceeds max_colors.  Returns 0, or -1 when
+ * allocation fails. */
+i64 bc_replay_run(
+    const i64 *offsets, const i64 *edges, const i64 *pe_bind,
+    const i64 *hb, const i64 *eb, i64 n, i64 v_t, i64 p, i64 ns, i64 puv,
+    i64 mgr, i64 bwc, i64 interval, i64 setup, i64 wc_ldv, i64 or_cyc,
+    i64 hitx, i64 rc, i64 sc, i64 cpb, i64 epb, i64 block_bits,
+    i64 fin_bwc, i64 max_colors, i64 epoch_size,
+    i64 *colors, i64 *acc, i64 *epochs)
+{
+    i64 maxdeg = 0;
+    for (i64 v = 0; v < n; v++)
+        if (offsets[v + 1] - offsets[v] > maxdeg)
+            maxdeg = offsets[v + 1] - offsets[v];
+    i64 nheap = n - v_t > 0 ? n - v_t : 1;
+    i64 words = maxdeg / WORD_BITS + 1;
+    i64 *buf = calloc(3 * p + n + ns + 2 * nheap + maxdeg + words, sizeof(i64));
+    if (!buf)
+        return -1;
+    i64 *pe_free = buf, *seen = buf + p, *carry = buf + 2 * p;
+    i64 *finish_v = buf + 3 * p, *servers = finish_v + n;
+    i64 *heap_fin = servers + ns, *heap_blk = heap_fin + nheap;
+    i64 *dlist = heap_blk + nheap;
+    u64 *mark = (u64 *)(dlist + maxdeg);
+    for (i64 q = 0; q < p; q++) {
+        seen[q] = 1;
+        carry[q] = -1;
+    }
+    i64 floor_t = 0, maxfin = 0, heap_size = 0;
+
+    for (i64 v = 0; v < n; v++) {
+        const i64 *row = edges + offsets[v];
+        i64 deg = offsets[v + 1] - offsets[v];
 
         /* dispatch: PE choice and start time */
         i64 pe = pe_bind[v];
-        i64 fpe;
-        if (pe < 0) {
-            pe = 0;
-            fpe = pe_free[0];
-            for (i64 q = 1; q < p; q++)
-                if (pe_free[q] < fpe) {
-                    fpe = pe_free[q];
+        if (pe < 0)
+            for (i64 q = pe = 0; q < p; q++)
+                if (pe_free[q] < pe_free[pe])
                     pe = q;
-                }
-        } else {
-            fpe = pe_free[pe];
-        }
-        i64 t = fpe > floor_t ? fpe : floor_t;
+        i64 t = pe_free[pe] > floor_t ? pe_free[pe] : floor_t;
         floor_t = t + interval;
-        if (ep_first < 0)
-            ep_first = t;
+        i64 *ep = epochs + 4 * (v / epoch_size); /* this task's epoch row */
+        if (v % epoch_size == 0)
+            ep[0] = t;
 
-        /* commits due before this dispatch: merge-buffer invalidation */
-        if (mgr) {
-            while (heap_size > 0 && heap_fin[0] <= t) {
-                i64 wb = heap_pop(heap_fin, heap_blk, &heap_size);
-                for (i64 q = 0; q < p; q++)
-                    if (carry[q] == wb)
-                        carry[q] = -1;
-            }
+        /* commits due before this dispatch: merge-buffer invalidation
+         * (the heap only fills under MGR) */
+        while (heap_size > 0 && heap_fin[0] <= t) {
+            i64 wb = heap_pop(heap_fin, heap_blk, &heap_size);
+            for (i64 q = 0; q < p; q++)
+                if (carry[q] == wb)
+                    carry[q] = -1;
         }
 
-        /* conflict deferral against in-flight lower neighbours */
-        i64 dep = 0, nd = 0, d_hdv_occ = 0;
-        if (maxfin > t) {
-            for (i64 i = lptr[vl]; i < lptr[vl + 1]; i++) {
-                i64 w = ldst[i];
+        /* One walk of row v: OR the lower neighbours' colors, defer on
+         * those in flight, and derive PUV counts, the HDC split and the
+         * MGR-collapsed LDV block sequence (k runs, s_full streams). */
+        i64 scan = maxfin > t, dep = 0, nd = 0, d_hdv_occ = 0, hiw = 0;
+        i64 n_le = 0, srt = 1, hdv = 0, ldv = 0;
+        i64 k = 0, s_full = 0, stream1 = 0, c0 = -5, clast = -1;
+        for (i64 i = 0; i < deg; i++) {
+            i64 w = row[i];
+            if (i > 0 && w < row[i - 1])
+                srt = 0;
+            if (w < v) {
+                i64 c = colors[w] - 1;
+                mark[c / WORD_BITS] |= 1ULL << (c % WORD_BITS);
+                if (c / WORD_BITS > hiw)
+                    hiw = c / WORD_BITS;
                 i64 fw = finish_v[w];
-                if (fw > t) {
+                if (scan && fw > t) {
                     if (w < v_t)
                         d_hdv_occ++;
-                    i64 dup = 0;
-                    for (i64 j = 0; j < nd; j++)
-                        if (dlist[j] == w) {
-                            dup = 1;
-                            break;
-                        }
-                    if (!dup) {
+                    if (!in_list(dlist, nd, w)) {
                         dlist[nd++] = w;
                         if (fw > dep)
                             dep = fw;
                     }
                 }
             }
+            if (puv && w > v)
+                continue;
+            n_le++;
+            if (w < v_t) {
+                hdv++;
+                continue;
+            }
+            ldv++;
+            i64 b = w / cpb;
+            if (mgr && k > 0 && b == clast)
+                continue;
+            if (k == 0) {
+                c0 = b;
+            } else if (b == clast + 1) {
+                s_full++;
+                if (k == 1)
+                    stream1 = 1;
+            }
+            clast = b;
+            k++;
         }
 
-        i64 ct = comp_l[vl];
-        i64 dr = dram_l[vl];
+        /* first free color: the paper's (~s) & (s + 1) step */
+        i64 wd = 0;
+        while (mark[wd] == FULL_WORD)
+            wd++;
+        u64 s = mark[wd];
+        colors[v] = wd * WORD_BITS
+                    + (i64)__builtin_popcountll(((~s) & (s + 1ULL)) - 1ULL) + 1;
+        memset(mark, 0, (hiw + 1) * sizeof(u64));
+        if (colors[v] > max_colors)
+            break;
+
+        /* per-task cycle inputs; without PUV n_le == deg, so these
+         * reduce to consumed = deg, compares = 0 */
+        i64 larger = n_le < deg;
+        i64 consumed = srt ? n_le + larger : deg;
+        i64 compares = srt ? larger : deg - n_le;
+        i64 needed = prefix_blocks(hb, eb, v, consumed, epb, block_bits);
+        i64 edge_dram = needed * (sc + 1);
+        acc[A_BLOCKS_NEEDED] += needed;
+        acc[A_BLOCKS_SAVED] +=
+            prefix_blocks(hb, eb, v, deg, epb, block_bits) - needed;
+        acc[A_PRUNED] += deg - n_le;
+        acc[A_CACHE] += hdv;
+        acc[A_LDV] += ldv;
+        acc[A_MI] += ldv - k;
+        acc[A_K] += k;
+
+        i64 ct = setup + n_le + compares + hitx * hdv;
+        i64 dr = edge_dram + s_full * sc + (k - s_full) * rc;
         if (nd == 0) {
             if (mgr) {
-                if (c0_l[vl] == carry[pe]) {
-                    state[S_COUNT_A]++;
-                    dr += da_l[vl];
+                if (c0 == carry[pe]) {
+                    /* branch A: the first run merges with the carry and
+                     * run 1's stream continuation is lost */
+                    acc[A_COUNT_A]++;
+                    i64 s_a = s_full - stream1;
+                    dr = edge_dram + s_a * sc + (k - 1 - s_a) * rc;
                 }
-                i64 cl = cl_l[vl];
-                if (cl >= 0)
-                    carry[pe] = cl;
+                if (clast >= 0)
+                    carry[pe] = clast;
             }
         } else {
             /* correction path: replay the fetch sequence without the
              * deferred neighbours */
-            state[S_CONFLICTS] += nd;
-            i64 lp = vptr[vl], rp = vptr[vl + 1];
+            acc[A_CONFLICTS] += nd;
             i64 cur = carry[pe];
             i64 last_c = -1;
             i64 merged = 0, misses = 0, stream = 0, reads = 0;
-            for (i64 i = lp; i < rp; i++) {
-                i64 w = vdst[i];
-                i64 def = 0;
-                for (i64 j = 0; j < nd; j++)
-                    if (dlist[j] == w) {
-                        def = 1;
-                        break;
-                    }
-                if (def)
+            for (i64 i = 0; i < deg; i++) {
+                i64 w = row[i];
+                if ((puv && w > v) || w < v_t || in_list(dlist, nd, w))
                     continue;
-                i64 b = vblk[i];
+                i64 b = w / cpb;
                 reads++;
                 if (mgr && b == cur) {
                     merged++;
@@ -305,66 +370,41 @@ i64 bc_replay_epoch(
             }
             if (mgr)
                 carry[pe] = cur;
-            dr = edge_dram[vl] + stream * sc + (misses - stream) * rc;
+            dr = edge_dram + stream * sc + (misses - stream) * rc;
             ct -= hitx * d_hdv_occ;
-            state[S_CONF_LDV_BASE] += rp - lp;
-            state[S_CONF_LDV_READS] += reads;
-            state[S_CONF_MERGED] += merged;
-            state[S_CONF_MISSES] += misses;
-            state[S_CONF_MI] += mi_l[vl];
-            state[S_CONF_K] += k_l[vl];
-            state[S_CONF_HDV_OCC] += d_hdv_occ;
+            acc[A_CONF_LDV_BASE] += ldv;
+            acc[A_CONF_LDV_READS] += reads;
+            acc[A_CONF_MERGED] += merged;
+            acc[A_CONF_MISSES] += misses;
+            acc[A_CONF_MI] += ldv - k;
+            acc[A_CONF_K] += k;
+            acc[A_CONF_HDV_OCC] += d_hdv_occ;
         }
 
         /* finalize cycles (Steps 6-7) */
-        i64 cf;
-        if (bwc) {
-            cf = fin_bwc;
-        } else {
-            i64 col = colors[v];
-            i64 sm = seen[pe];
-            cf = col + sm;
-            if (col > sm)
-                seen[pe] = col;
-        }
+        i64 cf = bwc ? fin_bwc : colors[v] + seen[pe];
+        if (!bwc && colors[v] > seen[pe])
+            seen[pe] = colors[v];
         if (nd > 0)
             cf += or_cyc;
 
         /* write-back + physical DRAM channel queueing */
-        i64 wc, dd;
-        if (v < v_t) {
-            wc = 1;
-            dd = dr;
-        } else {
-            wc = wc_ldv;
-            dd = dr + wc;
-        }
+        i64 wc = v < v_t ? 1 : wc_ldv;
+        i64 dd = v < v_t ? dr : dr + wc;
         i64 qd = 0;
         if (dd > 0) {
-            i64 si = 0, s0 = servers[0];
+            i64 si = 0;
             for (i64 q = 1; q < ns; q++)
-                if (servers[q] < s0) {
-                    s0 = servers[q];
+                if (servers[q] < servers[si])
                     si = q;
-                }
-            if (s0 > t) {
-                qd = s0 - t;
-                servers[si] = s0 + dd;
-            } else {
-                servers[si] = t + dd;
-            }
+            qd = servers[si] > t ? servers[si] - t : 0;
+            servers[si] = t + qd + dd;
         }
 
         /* finish recurrence */
         i64 te = t + ct + qd + dr;
-        i64 stall, fin;
-        if (dep > te) {
-            stall = dep - te;
-            fin = dep + cf + wc;
-        } else {
-            stall = 0;
-            fin = te + cf + wc;
-        }
+        i64 stall = dep > te ? dep - te : 0;
+        i64 fin = te + stall + cf + wc;
 
         pe_free[pe] = fin;
         finish_v[v] = fin;
@@ -373,17 +413,18 @@ i64 bc_replay_epoch(
         if (mgr && v >= v_t)
             heap_push(heap_fin, heap_blk, &heap_size, fin, v / cpb);
 
-        state[S_TOT_COMP] += ct + cf;
-        state[S_TOT_DRAM] += dr;
-        state[S_TOT_WC] += wc;
-        state[S_TOT_STALL] += stall;
-        state[S_TOT_QUEUE] += qd;
+        acc[A_COMP] += ct + cf;
+        acc[A_DRAM] += dr;
+        acc[A_WC] += wc;
+        acc[A_STALL] += stall;
+        acc[A_QUEUE] += qd;
+        ep[1] = maxfin;
+        ep[2] += nd;
+        ep[3] += stall;
     }
 
-    state[S_FLOOR] = floor_t;
-    state[S_MAXFIN] = maxfin;
-    state[S_HEAP_SIZE] = heap_size;
-    state[S_EP_FIRST] = ep_first;
+    acc[A_MAXFIN] = maxfin;
+    free(buf);
     return 0;
 }
 """
@@ -480,10 +521,8 @@ class _CCKernels:
         lib.bc_scatter_or.argtypes = [_I64, _I64, ll, _U64, ll, ll, _I64]
         lib.bc_first_free.restype = ll
         lib.bc_first_free.argtypes = [_U64, ll, ll, _I64]
-        lib.bc_replay_epoch.restype = ll
-        lib.bc_replay_epoch.argtypes = (
-            [ll] * 15 + [_I64] * 15 + [_I64] * 8 + [_I64]
-        )
+        lib.bc_replay_run.restype = ll
+        lib.bc_replay_run.argtypes = [_I64] * 5 + [ll] * 20 + [_I64] * 3
 
     # -- raw kernels ---------------------------------------------------
     def scatter_or(
@@ -515,21 +554,35 @@ class _CCKernels:
             )
         )
 
-    def replay_epoch(self, scalars, epoch_arrays, persistent_arrays) -> None:
-        """One epoch of the batched-engine recurrence (see hw/batched.py).
+    def replay_epoch(self, graph, pe_bind, layout, scalars, epoch_size: int):
+        """Color and replay a whole batched-engine run (see hw/batched.py).
 
-        ``scalars`` is the 15-tuple ``(lo, nloc, v_t, p, ns, mgr, bwc,
-        interval, wc_ldv, or_cyc, hitx, rc, sc, cpb, fin_bwc)``;
-        ``epoch_arrays`` the 13 per-epoch int64 arrays; and
-        ``persistent_arrays`` the 9 cross-epoch int64 arrays ending in
-        the packed ``state`` vector.
+        Despite the name, one call covers every epoch.  ``layout`` is a
+        compressed ``EdgeLayout`` or None; ``scalars`` are the 18 config
+        scalars of ``bc_replay_run`` in order.  Returns ``(colors,
+        totals, epochs)``: the 22 totals in ``A_*`` order and one
+        ``[first_start, maxfin, conflicts, stall]`` row per epoch.
         """
-        args = (
-            [int(s) for s in scalars]
-            + [_as_i64(a) for a in epoch_arrays]
-            + [_as_i64(a) for a in persistent_arrays]
+        n = graph.num_vertices
+        offsets = np.ascontiguousarray(graph.offsets, dtype=np.int64)
+        edges = np.ascontiguousarray(graph.edges, dtype=np.int64)
+        hb = eb = None
+        if layout is not None:
+            hb = np.ascontiguousarray(layout.header_bits, dtype=np.int64)
+            eb = np.ascontiguousarray(layout.entry_bits, dtype=np.int64)
+        colors = np.zeros(n, dtype=np.int64)
+        totals = np.zeros(22, dtype=np.int64)
+        epochs = np.zeros((-(-n // epoch_size), 4), dtype=np.int64)
+        status = self._lib.bc_replay_run(
+            _as_i64(offsets), _as_i64(edges), _as_i64(pe_bind),
+            None if hb is None else _as_i64(hb),
+            None if eb is None else _as_i64(eb),
+            n, *[int(s) for s in scalars], epoch_size,
+            _as_i64(colors), _as_i64(totals), _as_i64(epochs),
         )
-        self._lib.bc_replay_epoch(*args)
+        if status < 0:
+            raise MemoryError("native replay could not allocate its work buffers")
+        return colors, totals.tolist(), epochs.tolist()
 
 
 def load() -> _CCKernels:

@@ -352,6 +352,100 @@ def test_native_auto_equals_event_engine(key):
     assert dataclasses.asdict(ev.stats) == dataclasses.asdict(au.stats)
 
 
+@pytest.mark.parametrize("flags", ALL_FLAG_COMBOS, ids=lambda f: f.label())
+def test_unsorted_rows_exact(flags):
+    # Graphs built from edge lists have sorted rows; DBG relabelling
+    # without sort_edges leaves most rows unsorted, which is what
+    # exercises PUV's per-row sortedness rule.
+    g = degree_based_grouping(powerlaw_cluster(250, 5, 0.3, seed=7)).graph
+    cfg = HWConfig(parallelism=4, cache_bytes=256)
+    assert_parity(g, cfg, flags)  # event vs batched (native when available)
+    assert_replay_parity(g, cfg, flags)
+
+
+@pytest.mark.parametrize("flags", [OptimizationFlags.all(), OptimizationFlags.none()],
+                         ids=lambda f: f.label())
+def test_duplicate_neighbours_exact(small_graphs, flags):
+    # A CSR row may list a neighbour twice: a conflict on it defers once
+    # but still counts both HDV cache occupancies.
+    base = small_graphs["rmat"]
+    g = CSRGraph(offsets=base.offsets * 2, edges=np.repeat(base.edges, 2))
+    cfg = HWConfig(parallelism=8, cache_bytes=256)
+    _, ba = assert_parity(g, cfg, flags)
+    assert ba.stats.conflicts > 0
+    assert_replay_parity(g, cfg, flags)
+
+
+def test_colors_beyond_one_state_word_exact():
+    # A 130-clique needs colors 1..130: three 64-bit words of color
+    # state.  Vertex 130 then sees colors 1..64 only, so it takes 65 only
+    # if the clique's higher words were cleared after vertex 129.
+    edges = list(itertools.combinations(range(130), 2))
+    g = CSRGraph.from_edge_list(131, edges + [(130, u) for u in range(64)])
+    for flags in (OptimizationFlags.all(), OptimizationFlags.none()):
+        _, ba = assert_parity(g, HWConfig(parallelism=4), flags)
+        assert ba.num_colors == 130 and ba.colors[130] == 65
+        assert_replay_parity(g, HWConfig(parallelism=4), flags)
+
+
+@given(graph=graphs(), flags=flag_sets(), parallelism=st.sampled_from([1, 4]))
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_num_colors_is_max_color(graph, flags, parallelism):
+    # Ascending first-fit uses every color from 1 to its maximum, so the
+    # engines' num_colors (the max) equals the count of distinct colors.
+    cfg = HWConfig(parallelism=parallelism, cache_bytes=64)
+    for res in (
+        BitColorAccelerator(cfg, flags).run(graph),
+        BitColorAccelerator(cfg, flags, engine="batched", replay="python").run(graph),
+        BitColorAccelerator(cfg, flags, engine="batched").run(graph),
+    ):
+        assert res.num_colors == np.unique(res.colors[res.colors != 0]).size
+
+
+def epoch_spans(graph, cfg, flags, epoch_size, replay):
+    from repro.obs import Registry, use_registry
+
+    reg = Registry()
+    with use_registry(reg):
+        run_batched(graph, cfg, flags, epoch_size=epoch_size, replay=replay)
+    spans = [
+        (s.start, s.end, s.clock, s.attrs)
+        for s in reg.spans
+        if s.name == "hw.batched.epoch"
+    ]
+    counters = {k: v for k, v in reg.counters.items() if k.startswith("hw.batched")}
+    return spans, counters
+
+
+@needs_native
+@pytest.mark.parametrize("epoch_size", [1, 7, 4096])
+def test_native_replay_epoch_spans_match_python(small_graphs, epoch_size):
+    cfg = HWConfig(parallelism=8, cache_bytes=512)
+    for g in small_graphs.values():
+        py = epoch_spans(g, cfg, OptimizationFlags.all(), epoch_size, "python")
+        na = epoch_spans(g, cfg, OptimizationFlags.all(), epoch_size, "native")
+        assert len(py[0]) == -(-g.num_vertices // epoch_size)
+        assert py == na
+
+
+@needs_native
+def test_native_replay_max_colors_error_matches_python(small_graphs):
+    g = small_graphs["pre"]
+    cfg = HWConfig(parallelism=4, max_colors=3)
+    errors = []
+    for replay in ("python", "native"):
+        with pytest.raises(ValueError, match="needs color") as exc:
+            run_batched(g, cfg, OptimizationFlags.all(), replay=replay)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    # The offender is the lowest vertex whose greedy color exceeds the cap.
+    colors = run_batched(g, HWConfig(parallelism=4), OptimizationFlags.all()).colors
+    v = int(np.flatnonzero(colors > 3)[0])
+    assert errors[0] == f"vertex {v} needs color {colors[v]} > max 3"
+
+
 # ----------------------------------------------------------------------
 # Layer 4: opt-in exhaustive matrix (slow; run before release)
 # ----------------------------------------------------------------------

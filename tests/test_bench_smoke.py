@@ -80,7 +80,7 @@ def test_gate_table_bounds():
         "router": ("deterministic", 1.0, "router"),
         "hbm": ("deterministic", 0.15, None),
         "native": ("floor", 3.0, None),
-        "native-replay": ("floor", 1.2, None),
+        "native-replay": ("floor", 10.0, None),
     }
 
 
@@ -221,7 +221,7 @@ def test_native_smoke_doc_shape():
 
 def test_native_baseline_recorded_when_available():
     """The checked-in JSON must carry the native evidence: >= 3x on the
-    raw kernel bench and >= 1.2x on the replay (recorded on the machine
+    raw kernel bench and >= 10x on the replay (recorded on the machine
     that regenerated it — the block is absent only if that machine had
     no compiler, which the seed baseline did)."""
     native_smoke = load_baseline("kernels").get("native_smoke")
