@@ -62,11 +62,14 @@ def color(
         :class:`~repro.kernels.NativeUnavailable` error instead.
         ``"bitwise"`` additionally accepts ``backend="hw"`` (the full
         BitColor accelerator model, which further accepts
-        ``engine="event"|"batched"`` — the batched engine is the
-        epoch-vectorized fast path with identical results — plus
-        ``epoch_size=`` for its batch granularity,
-        ``replay="auto"|"python"|"native"`` for the batched engine's
-        schedule-recurrence implementation,
+        ``engine="batched"|"event"`` — the default ``"batched"`` is one
+        native call with results identical to the event engine's, and
+        runs the event engine itself without a compiler, under
+        ``trace=True`` or for degenerate DRAM costs — plus
+        ``epoch_size=`` for the tasks per ``hw.batched.epoch`` span,
+        ``replay="auto"|"python"`` (``"python"`` runs the event engine,
+        the Python reference; kept for callers that pin it, such as
+        ``bench/selfcheck.py``),
         ``mem_profile="ddr4-u200"|"hbm2"`` to model a registered
         off-chip memory (:func:`repro.hw.mem.profiles`), and
         ``layout="plain"|"degree-sorted"|"delta-compressed"`` for the
@@ -117,7 +120,7 @@ def color(
             raise ValueError(
                 f"unknown engine {engine!r}; allowed: {', '.join(engines)}"
             )
-    # replay= likewise only reaches the batched accelerator engine.
+    # replay= likewise only reaches the accelerator model.
     replay = opts.get("replay")
     if replay is not None:
         resolved = backend or spec.default_backend
@@ -126,10 +129,8 @@ def color(
                 f"replay={replay!r} requires backend='hw' "
                 f"(got backend={resolved!r} on algorithm {algorithm!r})"
             )
-        if replay not in ("auto", "python", "native"):
-            raise ValueError(
-                f"unknown replay {replay!r}; allowed: auto, python, native"
-            )
+        if replay not in ("auto", "python"):
+            raise ValueError(f"unknown replay {replay!r}; allowed: auto, python")
     # mem_profile= / layout= likewise only reach the accelerator model;
     # validate the names eagerly against the hw.mem / graph.layout
     # registries so typos fail here with the capability list.

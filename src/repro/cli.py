@@ -147,9 +147,7 @@ def cmd_simulate(args) -> int:
     if args.cache_kb is not None:
         overrides["cache_bytes"] = args.cache_kb << 10
     cfg = mem.profile_config(args.mem_profile, **overrides)
-    acc = BitColorAccelerator(
-        cfg, flags, engine=args.engine, replay=args.replay, layout=args.layout
-    )
+    acc = BitColorAccelerator(cfg, flags, engine=args.engine, layout=args.layout)
     if args.obs:
         # The artifact carries both wall-clock spans and the cycle-clock
         # task trace, so tracing is forced on.
@@ -509,15 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--disable", nargs="*", default=[],
                    choices=["hdc", "bwc", "mgr", "puv"],
                    help="optimizations to turn off")
-    s.add_argument("--engine", default="event", choices=["event", "batched"],
-                   help="execution engine: 'event' steps every component "
-                        "model; 'batched' is the epoch-vectorized fast path "
-                        "with identical results (use for large graphs)")
-    s.add_argument("--replay", default="auto",
-                   choices=["auto", "python", "native"],
-                   help="schedule-recurrence implementation of the batched "
-                        "engine: 'auto' takes the compiled native tier when "
-                        "available; identical stats either way")
+    s.add_argument("--engine", default="batched", choices=["event", "batched"],
+                   help="execution engine: 'batched' is one native call with "
+                        "results identical to 'event', which steps every "
+                        "component model; 'batched' runs 'event' without a "
+                        "compiler and under --gantt/--obs")
     s.add_argument("--mem-profile", default="ddr4-u200",
                    choices=list(_MEM_PROFILE_NAMES),
                    help="memory profile to model (see --version for the "

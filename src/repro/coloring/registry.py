@@ -87,9 +87,12 @@ def _run_bitwise(graph, *, backend: str = "python", **opts):
             mem_profile = None  # already baked into the config
         flags = opts.pop("flags", None) or OptimizationFlags.all()
         trace = opts.pop("trace", False)
-        engine = opts.pop("engine", "event")
+        engine = opts.pop("engine", "batched")
         epoch_size = opts.pop("epoch_size", None)
-        replay = opts.pop("replay", "auto")
+        # replay="python" survives only as a name for the Python
+        # reference, which is the event engine.
+        if opts.pop("replay", "auto") == "python":
+            engine = "event"
         if opts:
             raise TypeError(
                 f"backend='hw' does not accept {sorted(opts)}; "
@@ -101,7 +104,6 @@ def _run_bitwise(graph, *, backend: str = "python", **opts):
             flags,
             engine=engine,
             epoch_size=epoch_size,
-            replay=replay,
             mem_profile=mem_profile,
             layout=layout,
         )

@@ -10,7 +10,6 @@ from .datasets import (
 )
 from .hw_bench import (
     run_hw_bench,
-    run_hw_native_smoke,
     run_hw_smoke,
 )
 from .hbm_sweep import (
@@ -89,7 +88,6 @@ __all__ = [
     "DATASET_TIERS",
     "REGISTRY",
     "run_hw_bench",
-    "run_hw_native_smoke",
     "run_hw_smoke",
     "MINI_SWEEP",
     "PAPER_SWEEP",

@@ -85,9 +85,9 @@ class EdgeLayout:
     neighbour) followed by ``entry_bits[v]``-bit entries, packed tight
     and block-aligned per row.  All fetch-cost questions reduce to
     :meth:`prefix_blocks`, which both accelerator engines use — the
-    event engine scalar per task, the batched engine vectorized over an
-    epoch via :func:`repro.kernels.prefix_block_counts` (same integer
-    math, hence the parity contract survives every layout).
+    event engine scalar per task, the batched engine's native run in C
+    with the integer math of :func:`repro.kernels.prefix_block_counts`
+    (hence the parity contract survives every layout).
     """
 
     name: str

@@ -7,12 +7,7 @@ from .bwpe import BWPE, TaskExecution, finalize_cycles
 from .cache import CacheStats, HDVColorCache
 from .color_loader import ColorLoader, LoaderStats
 from .config import DEFAULT_CONFIG, HWConfig, OptimizationFlags
-from .conflict import (
-    ConflictProtocolError,
-    DataConflictTable,
-    DCTEntry,
-    conflict_candidates,
-)
+from .conflict import ConflictProtocolError, DataConflictTable, DCTEntry
 from .dispatcher import (
     DispatchStats,
     PEState,
@@ -58,7 +53,6 @@ __all__ = [
     "BWPE",
     "TaskExecution",
     "finalize_cycles",
-    "conflict_candidates",
     "static_pe_binding",
     "CacheStats",
     "HDVColorCache",

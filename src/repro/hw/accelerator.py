@@ -35,7 +35,9 @@ import numpy as np
 from ..coloring.outcome import OutcomeMixin
 from ..graph.csr import CSRGraph
 from ..graph.layout import DEFAULT_LAYOUT, LAYOUTS, build_layout
+from ..kernels import native
 from ..obs import get_registry, record_trace
+from .batched import degenerate_dram
 from .bwpe import BWPE, TaskExecution
 from .cache import HDVColorCache
 from .color_loader import ColorLoader
@@ -132,15 +134,13 @@ class BitColorAccelerator:
     * ``"event"`` (default) — the discrete-event simulator below: one
       Python step per task and per neighbour, driving the full component
       models (BWPE, loader, DCT, writer).  Exact, slow.
-    * ``"batched"`` — the epoch-batched fast path
-      (:func:`repro.hw.batched.run_batched`): per-task costs vectorized
-      over whole dispatch epochs, schedule replayed by a lean recurrence.
-      Produces identical colorings and identical statistics at a fraction
-      of the wall clock; intended for paper-scale stand-ins.  ``epoch_size``
-      sets tasks per vectorized batch and ``replay`` the schedule-recurrence
-      implementation (``"auto"`` — the compiled native tier when its
-      capability probe succeeds, else the Python loop; ``"python"``;
-      ``"native"``); both are only used by this engine.
+    * ``"batched"`` — the same model in one compiled call
+      (:func:`repro.hw.batched.run_batched`), identical colorings and
+      statistics at a fraction of the wall clock.  :meth:`run` takes it
+      when the native probe passes, ``trace`` is False and the DRAM
+      config is not degenerate; otherwise it runs the event engine,
+      which gives the same result.  ``epoch_size`` sets the tasks per
+      ``hw.batched.epoch`` span.
 
     ``mem_profile`` names a registered memory profile (see
     :func:`repro.hw.mem.profiles`); when given without an explicit
@@ -152,7 +152,6 @@ class BitColorAccelerator:
     """
 
     ENGINES = ("event", "batched")
-    REPLAYS = ("auto", "python", "native")
     LAYOUTS = LAYOUTS
 
     def __init__(
@@ -162,17 +161,12 @@ class BitColorAccelerator:
         *,
         engine: str = "event",
         epoch_size: Optional[int] = None,
-        replay: str = "auto",
         mem_profile: Optional[str] = None,
         layout: str = DEFAULT_LAYOUT,
     ):
         if engine not in self.ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {self.ENGINES}"
-            )
-        if replay not in self.REPLAYS:
-            raise ValueError(
-                f"unknown replay {replay!r}; expected one of {self.REPLAYS}"
             )
         if layout not in self.LAYOUTS:
             raise ValueError(
@@ -194,12 +188,18 @@ class BitColorAccelerator:
         self.flags = flags or OptimizationFlags.all()
         self.engine = engine
         self.epoch_size = epoch_size
-        self.replay = replay
         self.layout = layout
 
     # ------------------------------------------------------------------
     def run(self, graph: CSRGraph, *, trace: bool = False) -> AcceleratorResult:
         """Color ``graph``; records spans/counters on the active obs registry."""
+        # The one fallback rule: the batched engine is the native run
+        # where that applies, and the event engine everywhere else.
+        engine = self.engine
+        if engine == "batched" and (
+            trace or degenerate_dram(self.config) or not native.available()
+        ):
+            engine = "event"
         obs = get_registry()
         with obs.span(
             "hw.accelerator.run",
@@ -209,20 +209,18 @@ class BitColorAccelerator:
             hdc=self.flags.hdc,
             mgr=self.flags.mgr,
             puv=self.flags.puv,
-            engine=self.engine,
+            engine=engine,
             mem_profile=self.config.mem_profile,
             layout=self.layout,
         ) as sp:
-            if self.engine == "batched":
+            if engine == "batched":
                 from .batched import DEFAULT_EPOCH_TASKS, run_batched
 
                 result = run_batched(
                     graph,
                     self.config,
                     self.flags,
-                    trace=trace,
                     epoch_size=self.epoch_size or DEFAULT_EPOCH_TASKS,
-                    replay=self.replay,
                     layout=self.layout,
                 )
             else:

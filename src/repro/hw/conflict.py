@@ -25,36 +25,7 @@ __all__ = [
     "DCTEntry",
     "DataConflictTable",
     "ConflictProtocolError",
-    "conflict_candidates",
 ]
-
-
-def conflict_candidates(offsets, edges, lo: int, hi: int):
-    """Per-task candidate sets for DCT conflicts, vectorized over an epoch.
-
-    Under ascending-ID dispatch a neighbour ``w`` can only be flagged by
-    :meth:`DataConflictTable.check` when ``w < v`` (the seq comparison
-    rejects later-dispatched peers), so the strictly-smaller neighbours of
-    each task are the *complete* set the table can ever defer on.  Returns
-    ``(ptr, dst)``: a local CSR over tasks ``lo..hi-1`` whose row ``i``
-    lists the candidate vertices of task ``lo + i``.  Whether a candidate
-    actually conflicts is a timing question (is it still in flight at
-    dispatch?) answered by the schedule recurrence.
-    """
-    import numpy as np
-
-    sl = slice(int(offsets[lo]), int(offsets[hi]))
-    dst = edges[sl]
-    counts = np.diff(offsets[lo:hi + 1])
-    src = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
-    mask = dst < src
-    low_dst = dst[mask]
-    low_cnt = np.bincount(
-        src[mask] - lo, minlength=hi - lo
-    )
-    ptr = np.zeros(hi - lo + 1, dtype=np.int64)
-    np.cumsum(low_cnt, out=ptr[1:])
-    return ptr, low_dst
 
 
 class ConflictProtocolError(RuntimeError):

@@ -8,8 +8,8 @@ over all rows at once.  The coloring algorithms select this layer with
 
 On top of the NumPy tier sits an opt-in **native tier**
 (:mod:`repro.kernels.native`): compiled implementations of the two
-hottest kernels (plus the batched accelerator engine's replay
-recurrence) behind a capability probe.  :func:`capabilities` reports
+hottest kernels (plus the batched accelerator engine's whole run)
+behind a capability probe.  :func:`capabilities` reports
 what is available, :func:`preferred_tier` names the fastest usable
 software tier, and :func:`resolve_tier_kernels` hands back the
 ``(scatter_or, first_free)`` pair for a tier with transparent fallback
@@ -31,10 +31,8 @@ from .bitmatrix import (
 )
 from .native import NativeUnavailable
 from .segments import (
-    adjacent_pair_counts,
     prefix_block_counts,
     rows_sorted,
-    run_start_mask,
     segment_ids,
     segment_max,
 )
@@ -42,7 +40,6 @@ from .segments import (
 __all__ = [
     "WORD_BITS",
     "NativeUnavailable",
-    "adjacent_pair_counts",
     "bit_index_u64",
     "capabilities",
     "colors_to_onehot",
@@ -56,7 +53,6 @@ __all__ = [
     "prefix_block_counts",
     "resolve_tier_kernels",
     "rows_sorted",
-    "run_start_mask",
     "scatter_or_colors",
     "segment_ids",
     "segment_max",

@@ -25,13 +25,13 @@ selected):
 * ``bc_replay_run`` — a whole batched accelerator run in one ascending
   pass over the CSR: each task is colored from its lower neighbours
   (the same first-free step), its per-task cycle inputs are derived from
-  its row (the quantities the Python replay precomputes per epoch), and
-  the scalar replay recurrence runs (dispatch floor, first-idle-PE
-  selection, merge-buffer carry + write-commit invalidation via a binary
-  min-heap, conflict deferral, physical-channel queueing).  The heap is
-  keyed on finish time alone: the Python engine's ``(finish, block)``
-  tuple tie-break is unobservable because the commit loop drains
-  *every* entry with ``finish <= t`` and carry invalidation commutes.
+  its row, and the scalar replay recurrence runs (dispatch floor,
+  first-idle-PE selection, merge-buffer carry + write-commit
+  invalidation via a binary min-heap, conflict deferral,
+  physical-channel queueing).  The heap is keyed on finish time alone:
+  the order among equal finish times is unobservable because the
+  commit loop drains *every* entry with ``finish <= t`` and carry
+  invalidation commutes.
 """
 
 from __future__ import annotations

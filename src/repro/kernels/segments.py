@@ -1,11 +1,9 @@
-"""Segmented (per-CSR-row) array primitives for batched accounting.
+"""Segmented (per-CSR-row) array primitives.
 
-The batched accelerator engine (:mod:`repro.hw.batched`) models per-task
-quantities — prune boundaries, DRAM-block run lengths, stream continuity
-— as reductions over *segments* of one flat edge array, where a segment
-is the CSR row of one vertex task.  These helpers are the shared
-vocabulary for that style: every function takes flat arrays plus either
-an ``offsets`` array (CSR convention: segment ``i`` is
+The edge-layout builder (:mod:`repro.graph.layout`) sizes per-row
+encodings as reductions over *segments* of one flat edge array, where a
+segment is the CSR row of one vertex.  Every function takes flat arrays
+plus either an ``offsets`` array (CSR convention: segment ``i`` is
 ``values[offsets[i]:offsets[i+1]]``) or a precomputed per-element
 segment-id array, and returns per-segment or per-element results without
 any Python-level loop over segments.
@@ -18,8 +16,6 @@ import numpy as np
 __all__ = [
     "segment_ids",
     "rows_sorted",
-    "run_start_mask",
-    "adjacent_pair_counts",
     "segment_max",
     "prefix_block_counts",
 ]
@@ -52,22 +48,6 @@ def rows_sorted(offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
         bad = (values[1:] < values[:-1]) & (seg[1:] == seg[:-1])
         ok[seg[1:][bad]] = False
     return ok
-
-
-def run_start_mask(seg: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Mask selecting the first element of each run of equal values.
-
-    A run never crosses a segment boundary: the first element of every
-    segment always starts a run.  ``seg`` must be non-decreasing (CSR
-    order).  This is the collapse step of the MGR model — consecutive
-    equal DRAM-block indices within one task merge into one request.
-    """
-    seg = np.asarray(seg)
-    values = np.asarray(values)
-    starts = np.ones(values.size, dtype=bool)
-    if values.size >= 2:
-        starts[1:] = (values[1:] != values[:-1]) | (seg[1:] != seg[:-1])
-    return starts
 
 
 def segment_max(
@@ -122,20 +102,3 @@ def prefix_block_counts(
     bits = header_bits + np.maximum(counts - 1, 0) * entry_bits
     blocks = -(-bits // block_bits)
     return np.where(counts > 0, blocks, 0)
-
-
-def adjacent_pair_counts(
-    seg: np.ndarray, pair_flags: np.ndarray, num_segments: int
-) -> np.ndarray:
-    """Per-segment count of flagged *adjacent pairs*.
-
-    ``pair_flags`` has ``len(seg) - 1`` entries, one per adjacent element
-    pair; pairs spanning two segments are ignored.  Used to count stream
-    continuations (``block[j] == block[j-1] + 1``) per task.
-    """
-    seg = np.asarray(seg)
-    pair_flags = np.asarray(pair_flags)
-    if seg.size < 2:
-        return np.zeros(num_segments, dtype=np.int64)
-    inside = pair_flags & (seg[1:] == seg[:-1])
-    return np.bincount(seg[1:][inside], minlength=num_segments)

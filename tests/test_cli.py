@@ -46,15 +46,13 @@ class TestParser:
         )
         assert args.backend == "native"
 
-    def test_simulate_replay_choices(self):
-        args = build_parser().parse_args(
-            ["simulate", "--dataset", "EF", "--engine", "batched",
-             "--replay", "native"]
-        )
-        assert args.replay == "native"
+    def test_simulate_engine_default(self):
+        args = build_parser().parse_args(["simulate", "--dataset", "EF"])
+        assert args.engine == "batched"
+        assert not hasattr(args, "replay")
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["simulate", "--dataset", "EF", "--replay", "fortran"]
+                ["simulate", "--dataset", "EF", "--replay", "python"]
             )
 
 
@@ -125,14 +123,17 @@ class TestSimulate:
         assert "HDC+BWC" in out
 
     def test_simulate_native_replay_end_to_end(self, capsys):
-        # replay="native" silently falls back without a compiler, so this
-        # runs (and must succeed) on every host.
-        rc = main([
-            "simulate", "--dataset", "EF", "-p", "4",
-            "--engine", "batched", "--replay", "native",
-        ])
-        assert rc == 0
-        assert "makespan" in capsys.readouterr().out
+        # The default engine (the native run, or the event engine without
+        # a compiler) prints the event engine's colors, makespan and
+        # counters.
+        def report(*extra):
+            assert main(["simulate", "--dataset", "EF", "-p", "4", *extra]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("config:")]
+
+        default = report()
+        assert any(line.startswith("makespan:") for line in default)
+        assert default == report("--engine", "event")
 
 
 class TestServeParser:

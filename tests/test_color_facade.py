@@ -138,3 +138,68 @@ def test_valid_engine_accepted(graph):
         graph, "bitwise", backend="hw", engine="batched", parallelism=4
     )
     assert np.array_equal(out.colors, repro.color(graph, "bitwise").colors)
+
+
+@pytest.fixture
+def native_calls(monkeypatch):
+    """A list that gains one entry per native ``replay_epoch`` call."""
+    from repro.kernels import native
+
+    calls = []
+    if native.available():
+        impl = type(native.require())
+        real = impl.replay_epoch
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(impl, "replay_epoch", counted)
+    return calls
+
+
+def assert_same_accelerator_result(a, b):
+    import dataclasses
+
+    assert np.array_equal(a.colors, b.colors)
+    assert a.num_colors == b.num_colors
+    assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
+
+
+def test_hw_default_is_one_native_call(graph, native_calls):
+    """With no engine named, backend="hw" is one native call that returns
+    the event engine's result field for field."""
+    from repro.kernels import native
+
+    if not native.available():
+        pytest.skip(f"native tier unavailable: {native.unavailable_reason()}")
+    out = repro.color(graph, backend="hw", parallelism=4)
+    assert len(native_calls) == 1
+    ev = repro.color(graph, backend="hw", engine="event", parallelism=4)
+    assert len(native_calls) == 1
+    assert_same_accelerator_result(out, ev)
+
+
+@pytest.mark.parametrize("case", ["trace", "degenerate-dram", "probe-off"])
+def test_hw_default_falls_back_to_event(graph, native_calls, monkeypatch, case):
+    """Where the native run does not apply, the default runs the event
+    engine: zero native calls, the same result."""
+    from repro.hw import HWConfig
+    from repro.kernels import native
+
+    opts = {"parallelism": 4}
+    if case == "trace":
+        opts["trace"] = True
+    elif case == "degenerate-dram":
+        opts = {"config": HWConfig(parallelism=4, dram_stream_cycles=1)}
+    ev = repro.color(graph, backend="hw", engine="event", **opts)
+    with monkeypatch.context() as m:
+        if case == "probe-off":
+            m.setenv("REPRO_NATIVE", "0")
+            native.refresh()
+        out = repro.color(graph, backend="hw", **opts)
+    native.refresh()
+    assert native_calls == []
+    assert_same_accelerator_result(out, ev)
+    if case == "trace":
+        assert out.trace.tasks == ev.trace.tasks
