@@ -30,7 +30,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Union
 
-from .coloring.registry import algorithm_names, get_algorithm, hw_engine_names
+from .coloring.registry import algorithm_names, get_algorithm, resolve
 from .obs import JsonlExporter, Registry, get_registry, use_registry
 
 __all__ = ["color"]
@@ -54,7 +54,9 @@ def color(
         ``"gunrock"``).
     backend:
         Backend selector for algorithms that have one (checked against
-        the spec's capability flags; ``None`` picks the spec default).
+        the spec's capability flags).  ``None`` runs
+        :func:`repro.kernels.preferred_tier` when the algorithm lists it,
+        else the spec's default; colors are the same on every tier.
         ``backend="native"`` selects the compiled kernel tier
         (:mod:`repro.kernels.native`), falling back to the vectorized
         kernels transparently when no compiler backend is available —
@@ -68,8 +70,7 @@ def color(
         ``trace=True`` or for degenerate DRAM costs — plus
         ``epoch_size=`` for the tasks per ``hw.batched.epoch`` span,
         ``replay="auto"|"python"`` (``"python"`` runs the event engine,
-        the Python reference; kept for callers that pin it, such as
-        ``bench/selfcheck.py``),
+        the Python reference),
         ``mem_profile="ddr4-u200"|"hbm2"`` to model a registered
         off-chip memory (:func:`repro.hw.mem.profiles`), and
         ``layout="plain"|"degree-sorted"|"delta-compressed"`` for the
@@ -84,78 +85,11 @@ def color(
         ``prune_uncolored=``, ``parallelism=``, ...), validated against
         its capability flags where they apply.
     """
+    # The registry's one resolver decides what runs and checks the names.
+    invocation = resolve(algorithm, backend, opts=opts)
     spec = get_algorithm(algorithm)
-
-    if backend is not None and backend not in spec.backends:
-        allowed = spec.backends or ("<none>",)
-        raise ValueError(
-            f"algorithm {algorithm!r} does not support backend {backend!r}; "
-            f"allowed: {', '.join(allowed)}"
-        )
     if "seed" in opts and not spec.supports_seed:
         raise TypeError(f"algorithm {algorithm!r} is deterministic; it takes no seed")
-    # native_strict= turns the native tier's silent fallback into an
-    # eager, informative error — validated here so a missing compiler
-    # surfaces before any work, not as a deep ImportError mid-run.  It
-    # is consumed by the facade (the algorithms never see it) and only
-    # acts when the *effective* backend is native.
-    native_strict = bool(opts.pop("native_strict", False))
-    if native_strict and (backend or spec.default_backend) == "native":
-        from .kernels import native as _native
-
-        _native.require()
-    # Validate engine= up front: it only reaches the accelerator through
-    # backend="hw", and a typo should fail here with the option list, not
-    # deep inside dispatch (or as a stray kwarg on a software algorithm).
-    engine = opts.get("engine")
-    if engine is not None:
-        resolved = backend or spec.default_backend
-        if resolved != "hw":
-            raise ValueError(
-                f"engine={engine!r} requires backend='hw' "
-                f"(got backend={resolved!r} on algorithm {algorithm!r})"
-            )
-        engines = hw_engine_names()
-        if engine not in engines:
-            raise ValueError(
-                f"unknown engine {engine!r}; allowed: {', '.join(engines)}"
-            )
-    # replay= likewise only reaches the accelerator model.
-    replay = opts.get("replay")
-    if replay is not None:
-        resolved = backend or spec.default_backend
-        if resolved != "hw":
-            raise ValueError(
-                f"replay={replay!r} requires backend='hw' "
-                f"(got backend={resolved!r} on algorithm {algorithm!r})"
-            )
-        if replay not in ("auto", "python"):
-            raise ValueError(f"unknown replay {replay!r}; allowed: auto, python")
-    # mem_profile= / layout= likewise only reach the accelerator model;
-    # validate the names eagerly against the hw.mem / graph.layout
-    # registries so typos fail here with the capability list.
-    mem_profile = opts.get("mem_profile")
-    if mem_profile is not None:
-        resolved = backend or spec.default_backend
-        if resolved != "hw":
-            raise ValueError(
-                f"mem_profile={mem_profile!r} requires backend='hw' "
-                f"(got backend={resolved!r} on algorithm {algorithm!r})"
-            )
-        from .hw import mem as _mem
-
-        _mem.get_profile(mem_profile)
-    layout = opts.get("layout")
-    if layout is not None:
-        resolved = backend or spec.default_backend
-        if resolved != "hw":
-            raise ValueError(
-                f"layout={layout!r} requires backend='hw' "
-                f"(got backend={resolved!r} on algorithm {algorithm!r})"
-            )
-        from .graph.layout import validate_layout as _validate_layout
-
-        _validate_layout(layout)
 
     export_path: Optional[Path] = None
     if isinstance(obs, Registry):
@@ -166,10 +100,9 @@ def color(
     else:
         registry = None
 
-    run_opts = dict(opts)
-    effective_backend = backend or spec.default_backend
+    run_opts = dict(invocation.opts)
     if spec.backends:
-        run_opts["backend"] = effective_backend
+        run_opts["backend"] = invocation.backend
 
     scope = use_registry(registry) if registry is not None else nullcontext()
     with scope:
@@ -177,7 +110,7 @@ def color(
         with reg.span(
             "repro.color",
             algorithm=algorithm,
-            backend=effective_backend,
+            backend=invocation.backend,
             graph=getattr(graph, "name", ""),
             vertices=graph.num_vertices,
             edges=graph.num_edges,

@@ -14,12 +14,16 @@ Adapters normalise two things so the facade has one contract:
 * the ``backend`` keyword is only forwarded to algorithms that take one,
   and ``backend="hw"`` on ``bitwise`` routes through the full
   :class:`~repro.hw.accelerator.BitColorAccelerator` model.
+
+:func:`resolve` turns one request into the :class:`Invocation` that
+runs; the facade and the service (validation, cache, router, batcher,
+sessions) all read that one value instead of re-deriving it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .bitwise import bitwise_greedy_coloring
 from .dsatur import dsatur_coloring
@@ -32,21 +36,19 @@ from .outcome import PlainColoringResult
 __all__ = [
     "ALGORITHMS",
     "AlgorithmSpec",
+    "HW_OPTIONS",
+    "Invocation",
     "algorithm_names",
+    "check_hw_options",
     "get_algorithm",
     "hw_engine_names",
     "register_algorithm",
+    "resolve",
 ]
 
 
 def hw_engine_names() -> Tuple[str, ...]:
-    """The accelerator execution engines ``backend="hw"`` accepts.
-
-    Sourced from :class:`~repro.hw.accelerator.BitColorAccelerator` (the
-    import is lazy to keep the registry import-light); exposed here so the
-    facade can validate ``engine=`` eagerly with the same option list the
-    accelerator itself enforces.
-    """
+    """The accelerator engines ``backend="hw"`` accepts (lazy import)."""
     from ..hw.accelerator import BitColorAccelerator
 
     return tuple(BitColorAccelerator.ENGINES)
@@ -89,15 +91,11 @@ def _run_bitwise(graph, *, backend: str = "python", **opts):
         trace = opts.pop("trace", False)
         engine = opts.pop("engine", "batched")
         epoch_size = opts.pop("epoch_size", None)
-        # replay="python" survives only as a name for the Python
-        # reference, which is the event engine.
-        if opts.pop("replay", "auto") == "python":
-            engine = "event"
         if opts:
             raise TypeError(
                 f"backend='hw' does not accept {sorted(opts)}; "
                 "supported opts: config, parallelism, flags, trace, "
-                "engine, epoch_size, replay, mem_profile, layout"
+                "engine, epoch_size, mem_profile, layout"
             )
         acc = BitColorAccelerator(
             config,
@@ -150,6 +148,125 @@ def get_algorithm(name: str) -> AlgorithmSpec:
 
 def algorithm_names() -> Tuple[str, ...]:
     return tuple(ALGORITHMS)
+
+
+# ----------------------------------------------------------------------
+# Invocation resolution
+# ----------------------------------------------------------------------
+def _profile_names() -> Tuple[str, ...]:
+    from ..hw.mem import PROFILE_NAMES
+
+    return PROFILE_NAMES
+
+
+def _layout_names() -> Tuple[str, ...]:
+    from ..graph.layout import LAYOUTS
+
+    return LAYOUTS
+
+
+HW_OPTIONS: Dict[str, Tuple[str, Callable[[], Tuple[str, ...]]]] = {
+    "engine": ("engine", hw_engine_names),
+    "replay": ("replay", lambda: ("auto", "python")),
+    "mem_profile": ("memory profile", _profile_names),
+    "layout": ("layout", _layout_names),
+}
+"""The options that only reach the accelerator model: option → (what it
+names, the registered names it accepts)."""
+
+
+@dataclass(frozen=True)
+class Invocation:
+    """What one request runs.  Equal invocations on one graph run the
+    same code and give the same colors."""
+
+    algorithm: str
+    backend: Optional[str]
+    """The backend that runs; None for algorithms that take none."""
+    opts: Mapping[str, Any]
+    """Adapter options (read-only); for ``backend="hw"`` they always
+    name the ``engine`` and never carry ``replay``."""
+    pinned: bool
+    """True when the caller named the backend."""
+
+    @property
+    def engine(self) -> Optional[str]:
+        return self.opts["engine"] if self.backend == "hw" else None
+
+
+def check_hw_options(
+    algorithm: str,
+    backend: Optional[str] = None,
+    engine: Optional[str] = None,
+    opts: Optional[Mapping[str, Any]] = None,
+) -> None:
+    """Every :data:`HW_OPTIONS` entry present needs ``backend="hw"`` and a
+    registered name.  Probes nothing, so clients and the mesh router run
+    it too; imports the accelerator model only for an hw option."""
+    given = dict(opts or {})
+    if engine is not None:
+        given["engine"] = engine
+    for name, (kind, names) in HW_OPTIONS.items():
+        value = given.get(name)
+        if value is None:
+            continue
+        if backend != "hw":
+            raise ValueError(
+                f"{name}={value!r} requires backend='hw' "
+                f"(got backend={backend!r} on algorithm {algorithm!r})"
+            )
+        if value not in names():
+            raise ValueError(
+                f"unknown {kind} {value!r}; allowed: {', '.join(names())}"
+            )
+
+
+def resolve(
+    algorithm: str = "bitwise",
+    backend: Optional[str] = None,
+    engine: Optional[str] = None,
+    opts: Optional[Mapping[str, Any]] = None,
+) -> Invocation:
+    """The :class:`Invocation` one request runs (``engine`` may also sit
+    in ``opts``, the facade's form).
+
+    * An unpinned job runs on :func:`repro.kernels.preferred_tier` when
+      the spec lists it, else on ``spec.default_backend``: Algorithm 2's
+      colors depend only on vertex order, never on the tier.
+    * For ``backend="hw"`` the engine is explicit: None resolves to
+      ``"batched"``, ``replay="python"`` to ``"event"`` (the Python
+      reference), and ``replay="auto"`` is dropped.
+    * ``native_strict=True`` is consumed: it raises
+      :class:`~repro.kernels.NativeUnavailable` when the backend that
+      runs is ``native`` and no compiler backend works.
+    """
+    run_opts = dict(opts or {})
+    if engine is not None:
+        run_opts["engine"] = engine
+    spec = get_algorithm(algorithm)
+    if backend is not None and backend not in spec.backends:
+        raise ValueError(
+            f"algorithm {algorithm!r} does not support backend {backend!r}; "
+            f"allowed: {', '.join(spec.backends or ('<none>',))}"
+        )
+    check_hw_options(algorithm, backend, opts=run_opts)
+    native_strict = bool(run_opts.pop("native_strict", False))
+    pinned = backend is not None
+    if not pinned and spec.backends:
+        from ..kernels import preferred_tier
+
+        tier = preferred_tier()
+        backend = tier if tier in spec.backends else spec.default_backend
+    if native_strict and backend == "native":
+        from ..kernels import native
+
+        native.require()
+    if backend == "hw":
+        if run_opts.pop("replay", None) == "python":
+            run_opts["engine"] = "event"
+        if run_opts.get("engine") is None:
+            run_opts["engine"] = "batched"
+    return Invocation(spec.name, backend, run_opts, pinned)
 
 
 register_algorithm(

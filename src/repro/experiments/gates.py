@@ -161,7 +161,8 @@ def _router(doc: Baseline, repeats: int) -> float:
 
 
 def _hbm(doc: Baseline, repeats: int) -> float:
-    # Engine parity on every profile x layout raises inside the smoke.
+    # Engine parity on every profile x layout raises inside the smoke
+    # (skipped with the probe's reason without the native tier).
     return run_hbm_smoke()["min_delta_reduction"]
 
 

@@ -34,7 +34,9 @@ The smoke half (the ``hbm`` row of :mod:`repro.experiments.gates`) is
 fully deterministic — modeled cycles, no wall-clock timing:
 
 * **engine parity** — event vs batched stats/colors must match exactly
-  on both memory profiles under all three edge layouts;
+  on both memory profiles under all three edge layouts (skipped with
+  the probe's reason without the native tier: both would be the event
+  engine);
 * **compression floor** — the delta-compressed layout must cut modeled
   edge-read cycles (``edge_blocks_fetched * dram_stream_cycles``) by at
   least ``SMOKE_MIN_DELTA_REDUCTION`` on every skewed stand-in.
@@ -52,6 +54,7 @@ import numpy as np
 
 from ..graph.layout import DEFAULT_LAYOUT, LAYOUTS
 from ..hw import BitColorAccelerator, OptimizationFlags, mem
+from ..kernels import native
 from .datasets import REGISTRY, load_dataset
 from .kernel_bench import smoke_graph
 
@@ -298,13 +301,16 @@ def run_hbm_smoke(
 ) -> Dict[str, object]:
     """The ``hbm`` gate's deterministic smoke: engine parity on every
     (profile x layout), then the delta-compressed edge-read-cycle
-    reduction per skewed stand-in.  No timing anywhere."""
+    reduction per skewed stand-in.  No timing anywhere.  Without the
+    native tier, ``parity_skipped`` holds the probe's reason instead."""
     graph = smoke_graph()
     parity_checks = 0
-    for profile in profiles:
-        for layout in LAYOUTS:
-            _parity_check(graph, profile=profile, layout=layout)
-            parity_checks += 1
+    parity_skipped = native.unavailable_reason()
+    if parity_skipped is None:
+        for profile in profiles:
+            for layout in LAYOUTS:
+                _parity_check(graph, profile=profile, layout=layout)
+                parity_checks += 1
 
     reductions: Dict[str, float] = {}
     for key in datasets:
@@ -328,6 +334,7 @@ def run_hbm_smoke(
 
     return {
         "parity_checks": parity_checks,
+        "parity_skipped": parity_skipped,
         "parity_profiles": list(profiles),
         "parity_layouts": list(LAYOUTS),
         "metric": "edge_blocks_fetched * dram_stream_cycles",

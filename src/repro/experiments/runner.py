@@ -133,14 +133,14 @@ def _sweep_task(task: Tuple) -> Tuple[str, str, Optional[str], int, float, Optio
     :func:`load_dataset` — no graph crosses the process boundary.
     """
     from .. import color as repro_color
-    from ..coloring.registry import get_algorithm
+    from ..coloring.registry import get_algorithm, resolve
 
     key, algorithm, seed, preprocessed, obs_enabled = task
     spec = get_algorithm(algorithm)
     opts = {}
     if spec.supports_seed:
         opts["seed"] = seed
-    backend = spec.default_backend if spec.backends else None
+    backend = resolve(algorithm).backend
     reg = Registry() if obs_enabled else None
     scope = use_registry(reg) if reg is not None else nullcontext()
     start = time.perf_counter()

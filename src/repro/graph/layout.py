@@ -44,7 +44,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..kernels import prefix_block_counts, rows_sorted, segment_ids, segment_max
+from ..kernels import rows_sorted, segment_ids, segment_max
 from .csr import CSRGraph
 from .reorder import is_descending_degree_order
 
@@ -86,8 +86,8 @@ class EdgeLayout:
     and block-aligned per row.  All fetch-cost questions reduce to
     :meth:`prefix_blocks`, which both accelerator engines use — the
     event engine scalar per task, the batched engine's native run in C
-    with the integer math of :func:`repro.kernels.prefix_block_counts`
-    (hence the parity contract survives every layout).
+    with the same integer math (hence the parity contract survives
+    every layout).
     """
 
     name: str

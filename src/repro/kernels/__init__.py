@@ -31,7 +31,6 @@ from .bitmatrix import (
 )
 from .native import NativeUnavailable
 from .segments import (
-    prefix_block_counts,
     rows_sorted,
     segment_ids,
     segment_max,
@@ -50,7 +49,6 @@ __all__ = [
     "onehot_to_colors",
     "popcount_u64",
     "preferred_tier",
-    "prefix_block_counts",
     "resolve_tier_kernels",
     "rows_sorted",
     "scatter_or_colors",

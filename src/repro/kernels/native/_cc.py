@@ -179,7 +179,7 @@ static int in_list(const i64 *a, i64 len, i64 x)
 
 /* Edge blocks read for the first cnt entries of row v: plain CSR packs
  * epb entries per block; a compressed layout packs an hb[v]-bit header
- * and eb[v]-bit entries (kernels.prefix_block_counts). */
+ * and eb[v]-bit entries (graph.layout.EdgeLayout.prefix_blocks). */
 static i64 prefix_blocks(const i64 *hb, const i64 *eb, i64 v, i64 cnt,
                          i64 epb, i64 block_bits)
 {

@@ -17,7 +17,6 @@ __all__ = [
     "segment_ids",
     "rows_sorted",
     "segment_max",
-    "prefix_block_counts",
 ]
 
 
@@ -74,31 +73,3 @@ def segment_max(
     nonempty = counts > 0
     out[nonempty] = np.maximum(reduced[nonempty], initial)
     return out
-
-
-def prefix_block_counts(
-    header_bits: np.ndarray,
-    entry_bits: np.ndarray,
-    counts: np.ndarray,
-    block_bits: int,
-) -> np.ndarray:
-    """Blocks fetched for a ``counts``-entry prefix of each encoded row.
-
-    The layout layer's cost model: row ``i`` is stored as a
-    ``header_bits[i]``-bit first entry followed by ``entry_bits[i]``-bit
-    entries, packed tight and block-aligned per row.  Reading the first
-    ``counts[i]`` entries therefore touches
-    ``ceil((header + (counts-1) * entry) / block_bits)`` sequential
-    blocks; a zero-count prefix touches none.  With header = entry =
-    ``edge_index_bits`` this reduces exactly to the plain-CSR
-    ``ceil(counts / edges_per_block)`` the engines used before layouts
-    existed.
-    """
-    if block_bits < 1:
-        raise ValueError("block_bits must be positive")
-    header_bits = np.asarray(header_bits, dtype=np.int64)
-    entry_bits = np.asarray(entry_bits, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    bits = header_bits + np.maximum(counts - 1, 0) * entry_bits
-    blocks = -(-bits // block_bits)
-    return np.where(counts > 0, blocks, 0)

@@ -71,7 +71,6 @@ from .router import (
     MICROBATCH_CROSSOVER,
     RouteDecision,
     Router,
-    preferred_software_tier,
 )
 from .server import ServiceServer, serve
 from .service import ColoringService, ServiceConfig
@@ -115,7 +114,6 @@ __all__ = [
     "disjoint_union",
     "least_loaded",
     "placement_key",
-    "preferred_software_tier",
     "run_microbatch",
     "serve",
     "serve_mesh",

@@ -1,11 +1,11 @@
-"""Micro-batching: many small coloring jobs, one vectorized kernel pass.
+"""Micro-batching: many small coloring jobs, one software-tier kernel pass.
 
 Small graphs are where the service's per-job overhead (queue hop,
 dispatch, span bookkeeping, kernel warm-up) rivals the coloring itself.
 The batcher coalesces queued small jobs into a **disjoint union** graph
 — blocks laid out in submission order, vertex IDs shifted so blocks
-never touch — and colors the union with a single
-``backend="vectorized"`` invocation.
+never touch — and colors the union with a single invocation on the
+jobs' shared software backend (the batch key's).
 
 Why this is exact, not approximate: the bit-wise greedy processes
 vertices in ascending ID order, and a vertex's color depends only on
@@ -48,28 +48,23 @@ BATCHABLE_OPTS = frozenset({"prune_uncolored"})
 """Options that commute with the disjoint union (see module docstring)."""
 
 
-def batch_key(
-    request: JobRequest,
-    graph: CSRGraph,
-    *,
-    default_backend: Optional[str] = None,
-) -> Optional[tuple]:
+def batch_key(request: JobRequest, graph: CSRGraph) -> Optional[tuple]:
     """The coalescing key for ``request``, or None when not batchable.
 
     Jobs with equal keys can share one kernel invocation.  The key pins
-    everything that changes the executed code path: algorithm, effective
-    backend, and the exact option set.  ``default_backend`` is the
-    backend an unpinned job effectively runs on (the router passes its
-    preferred software tier); None keeps the vectorized default.
+    everything that changes the executed code path: algorithm, the
+    backend that runs (the request's resolved invocation, so an
+    unpinned job keys on the preferred software tier), and the exact
+    option set.
     """
-    if request.algorithm != "bitwise" or request.engine is not None:
+    invocation = request.invocation
+    if (
+        invocation.algorithm != "bitwise"
+        or invocation.backend not in BATCHABLE_BACKENDS
+        or not set(invocation.opts) <= BATCHABLE_OPTS
+    ):
         return None
-    backend = request.backend or default_backend or "vectorized"
-    if backend not in BATCHABLE_BACKENDS:
-        return None
-    if not set(request.opts) <= BATCHABLE_OPTS:
-        return None
-    return ("bitwise", backend, tuple(sorted(request.opts.items())))
+    return ("bitwise", invocation.backend, tuple(sorted(invocation.opts.items())))
 
 
 def disjoint_union(

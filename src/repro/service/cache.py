@@ -6,7 +6,10 @@ a coloring is a pure function of ``(graph structure, algorithm,
 backend/engine, options)``.  The cache keys on exactly that:
 :func:`repro.graph.csr_fingerprint` (a SHA-256 of the CSR arrays, so two
 byte-identical graphs hit regardless of how they arrived) plus the
-canonicalised execution choice.
+request's resolved :class:`~repro.coloring.registry.Invocation`: an
+unpinned job shares with a pin to the tier it resolved to, ``hw`` with
+``hw`` + ``engine="batched"``; a pin to another tier keeps its own
+entry, so every result names the tier that ran.
 
 Entries are only written for **deterministic** invocations: a seeded
 randomised algorithm is deterministic once its ``seed`` is in the key;
@@ -63,12 +66,12 @@ class ResultCache:
 
     @staticmethod
     def key_for(request: JobRequest, graph: CSRGraph) -> tuple:
+        invocation = request.invocation
         return (
             graph.fingerprint(),
-            request.algorithm,
-            request.backend or "",
-            request.engine or "",
-            _canonical_opts(request.opts),
+            invocation.algorithm,
+            invocation.backend or "",
+            _canonical_opts(invocation.opts),
         )
 
     # ------------------------------------------------------------------

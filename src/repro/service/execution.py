@@ -156,9 +156,7 @@ class ExecutionEngine:
         from ..api import color as repro_color
 
         request = job.request
-        opts = dict(request.opts)
-        if decision.engine is not None:
-            opts["engine"] = decision.engine
+        invocation = request.invocation
         try:
             t0 = time.monotonic()
             with self.registry.span(
@@ -170,7 +168,10 @@ class ExecutionEngine:
                 if self.fault_hook is not None:
                     self.fault_hook(request)
                 out = repro_color(
-                    job.graph, request.algorithm, backend=decision.backend, **opts
+                    job.graph,
+                    invocation.algorithm,
+                    backend=invocation.backend,
+                    **invocation.opts,
                 )
             execute_s = time.monotonic() - t0
             self.registry.observe("service.latency.execute_s", execute_s)
@@ -216,8 +217,8 @@ class ExecutionEngine:
                 job,
                 colors=colors,
                 n_colors=n_colors,
-                backend=job.request.backend,
-                engine=job.request.engine,
+                backend=decision.backend,
+                engine=decision.engine,
                 route=decision.label + " (cached)",
                 execute_s=0.0,
                 cache_hit=True,

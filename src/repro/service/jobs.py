@@ -24,10 +24,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Dict, Optional
 
 import numpy as np
 
+from ..coloring.registry import Invocation, check_hw_options, resolve
 from ..graph.csr import CSRGraph
 
 __all__ = [
@@ -136,15 +138,19 @@ class JobRequest:
     job_id: int = field(default_factory=lambda: next(_request_ids))
 
     def validate(self) -> None:
+        """Shape checks and the hw-option table (no native-tier probe);
+        the algorithm and backend are checked when resolved, at submit."""
         if (self.graph is None) == (self.dataset is None):
             raise ValueError("exactly one of graph= or dataset= is required")
         if self.graph is not None and not isinstance(self.graph, CSRGraph):
             raise TypeError(f"graph must be a CSRGraph, got {type(self.graph)!r}")
-        if self.engine is not None and self.backend != "hw":
-            raise ValueError(
-                f"engine={self.engine!r} requires backend='hw' "
-                f"(got backend={self.backend!r})"
-            )
+        check_hw_options(self.algorithm, self.backend, self.engine, self.opts)
+
+    @cached_property
+    def invocation(self) -> Invocation:
+        """What this request runs, resolved once (the service does so at
+        submit; resolving may probe the native tier)."""
+        return resolve(self.algorithm, self.backend, self.engine, self.opts)
 
 
 def build_request(
@@ -164,8 +170,8 @@ def build_request(
     The one shared constructor behind every request path — in-process
     submission, the socket client's one-shot ``color``, the server's
     wire decoding, and the session lane's full-recolor fallback — so the
-    graph/dataset exclusivity and engine/backend rules are enforced (and
-    error messages phrased) in exactly one place.
+    graph/dataset exclusivity and the registry's name checks run on
+    every path, with the same messages as :func:`repro.color`.
     """
     request = JobRequest(
         graph=graph,
@@ -195,7 +201,9 @@ class JobResult:
     n_colors: int
     algorithm: str
     backend: Optional[str]
+    """The backend that ran (the request's resolved invocation)."""
     engine: Optional[str]
+    """The hw engine that ran; None off the accelerator model."""
     route: str = ""
     """Human-readable routing decision (lane + reason)."""
     cache_hit: bool = False

@@ -1,20 +1,21 @@
 """Backend routing: which execution lane should a job take?
 
 The router turns one job (plus its resolved graph) into a
-:class:`RouteDecision` by one rule:
+:class:`RouteDecision`.  It never picks a backend: the job's
+:attr:`~repro.service.jobs.JobRequest.invocation` (resolved once by
+:func:`repro.coloring.registry.resolve`, the same rule
+:func:`repro.color` applies) already names the backend and engine that
+run — the caller's pin, or for an unpinned job the preferred software
+tier (``"native"`` when the compiled kernels are available, else
+``"vectorized"``).  The router only picks the lane:
 
-* a **pinned** job — the caller named a backend and/or engine — keeps it
-  verbatim: parity with a direct :func:`repro.color` call is the
-  contract, so routing never overrides an explicit choice (small pinned
-  ``vectorized``/``python`` bitwise jobs may still ride a micro-batch,
-  which is color-identical by construction);
-* an unpinned job with at most the **per-tier micro-batch crossover**
-  (:data:`MICROBATCH_CROSSOVER`) vertices goes to the micro-batch lane,
-  where the batcher coalesces it with its queue neighbours into one
-  kernel invocation;
-* every other unpinned job runs solo on the preferred software tier
-  (``"native"`` when the compiled kernels are available, else
-  ``"vectorized"``).
+* a job with a micro-batch key (:func:`~repro.service.batcher.batch_key`:
+  bit-wise greedy on a software tier with union-safe options) and at
+  most the **micro-batch crossover** (:data:`MICROBATCH_CROSSOVER` of
+  the preferred tier) vertices goes to the micro-batch lane, where the
+  batcher coalesces it with its queue neighbours into one kernel
+  invocation — color-identical by construction, pinned or not;
+* every other job runs solo on its invocation's backend.
 
 Every lane an unpinned job can take follows the sequential greedy
 order, so routing decides only *which* engine runs, never the colors.
@@ -32,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..coloring.registry import get_algorithm
 from ..graph.csr import CSRGraph
+from ..kernels import preferred_tier
 from .batcher import batch_key
 from .jobs import JobRequest
 
@@ -41,32 +42,18 @@ __all__ = [
     "MICROBATCH_CROSSOVER",
     "RouteDecision",
     "Router",
-    "preferred_software_tier",
 ]
 
 MICROBATCH_CROSSOVER = {
-    "python": 256,
     "vectorized": 2048,
     "native": 512,
 }
-"""Micro-batch crossover (max vertices) per software kernel tier: below
+"""Micro-batch crossover (max vertices) per preferred software tier: below
 it, an unpinned job is worth coalescing with queue companions; above it,
 a solo kernel invocation amortises its own dispatch overhead.  Measured
 on the kernel bench smoke graphs: the native tier's per-call overhead is
 a fraction of NumPy dispatch, so its crossover sits ~4x lower — exactly
 the tier's rationale (small jobs stop paying dispatch overhead)."""
-
-
-def preferred_software_tier() -> str:
-    """The software tier the router prefers for unpinned jobs.
-
-    ``"native"`` when the compiled kernel tier's capability probe
-    succeeds, else ``"vectorized"`` (detection is cached after the first
-    call).
-    """
-    from ..kernels import preferred_tier
-
-    return preferred_tier()
 
 
 @dataclass(frozen=True)
@@ -96,11 +83,9 @@ class RouteDecision:
 class Router:
     """The one routing rule (see the module docstring).
 
-    ``software_tier`` is the kernel tier unpinned software jobs run on
-    (``"native"`` when available, else ``"vectorized"`` — see
-    :func:`preferred_software_tier`); it also selects the micro-batch
-    crossover from :data:`MICROBATCH_CROSSOVER` when ``small_vertices``
-    is left at None.
+    ``software_tier`` is :func:`repro.kernels.preferred_tier` at
+    construction; it selects the micro-batch crossover from
+    :data:`MICROBATCH_CROSSOVER` when ``small_vertices`` is left at None.
     """
 
     def __init__(
@@ -108,14 +93,8 @@ class Router:
         *,
         small_vertices: Optional[int] = None,
         batching: bool = True,
-        software_tier: Optional[str] = None,
     ):
-        self.software_tier = software_tier or preferred_software_tier()
-        if self.software_tier not in MICROBATCH_CROSSOVER:
-            raise ValueError(
-                f"unknown software tier {self.software_tier!r}; "
-                f"known: {', '.join(MICROBATCH_CROSSOVER)}"
-            )
+        self.software_tier = preferred_tier()
         self.small_vertices = (
             small_vertices
             if small_vertices is not None
@@ -124,35 +103,19 @@ class Router:
         self.batching = batching
 
     def route(self, request: JobRequest, graph: CSRGraph) -> RouteDecision:
-        spec = get_algorithm(request.algorithm)
-        pinned = request.backend is not None or request.engine is not None
-        backend = request.backend or spec.default_backend
-        # Unpinned jobs whose spec default is the vectorized tier ride
-        # the preferred software tier instead (pinned choices are kept
-        # verbatim — parity with a direct repro.color call).
-        if (
-            request.backend is None
-            and backend == "vectorized"
-            and self.software_tier in spec.backends
-        ):
-            backend = self.software_tier
-        key = (
-            batch_key(request, graph, default_backend=self.software_tier)
-            if self.batching
-            else None
-        )
+        invocation = request.invocation
+        key = batch_key(request, graph) if self.batching else None
         if key is not None and graph.num_vertices <= self.small_vertices:
-            reason = "(pinned, batchable)" if pinned else "(small)"
             return RouteDecision(
                 lane="batch",
-                backend=backend,
+                backend=invocation.backend,
                 engine=None,
-                reason=reason,
+                reason="(pinned, batchable)" if invocation.pinned else "(small)",
                 batch_key=key,
             )
         return RouteDecision(
             lane="direct",
-            backend=backend,
-            engine=request.engine,
-            reason="(pinned)" if pinned else "(default)",
+            backend=invocation.backend,
+            engine=invocation.engine,
+            reason="(pinned)" if invocation.pinned else "(default)",
         )

@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
 from .. import __version__
-from ..coloring.registry import get_algorithm
 from ..graph.csr import CSRGraph
 from ..obs import JsonlExporter, Registry
 from .cache import ResultCache
@@ -168,13 +167,14 @@ class ColoringService:
         Raises :class:`ServiceClosed` after shutdown began,
         :class:`RetryAfter` when admission sheds, and plain
         ``ValueError``/``KeyError`` for malformed requests (bad dataset
-        key, missing graph) — validation is eager so garbage never
-        occupies queue depth.
+        key, missing graph, an option :func:`repro.color` would reject
+        by name) — validation is eager so garbage never occupies queue
+        depth.
         """
         if self._draining or self._closed:
             raise ServiceClosed("service is shutting down; no new jobs accepted")
         request.validate()
-        get_algorithm(request.algorithm)  # KeyError lists the options
+        request.invocation  # resolve the backend once, before admission
         graph = self._resolve_graph(request)
         timeout = (
             request.timeout_s

@@ -11,8 +11,7 @@ that lane:
 * :meth:`register` — admit a graph (content-addressed by its CSR
   fingerprint, so re-registering an identical structure reuses the
   stored arrays), compute the initial coloring through the normal job
-  path with the algorithm's default backend pinned (the byte-parity
-  contract extends to sessions), and seed an
+  path (the byte-parity contract extends to sessions), and seed an
   :class:`~repro.coloring.incremental.IncrementalColoring` from it.
 * :meth:`apply` — absorb one batch of insertions/expirations in a single
   vectorized pass, invalidate the result-cache entries of the
@@ -42,7 +41,6 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from ..coloring.incremental import IncrementalColoring
-from ..coloring.registry import get_algorithm
 from ..graph.csr import CSRGraph
 from .jobs import SessionError, SessionNotFound, build_request
 
@@ -170,14 +168,11 @@ class SessionManager:
         """Open a session: store the graph, color it, keep both resident.
 
         The initial coloring runs through the normal service job path —
-        admission, routing, cache — with the algorithm's
-        default backend pinned when the caller named none, so the
-        session's colors are byte-identical to a direct
-        ``repro.color(graph, algorithm=...)`` call.
+        admission, routing, cache — as the same request a direct
+        ``repro.color(graph, algorithm=..., backend=...)`` call resolves
+        to, so the session's colors are byte-identical to that call.
+        ``SessionInfo.backend`` names the backend that ran.
         """
-        spec = get_algorithm(algorithm)
-        if backend is None and spec.backends:
-            backend = spec.default_backend
         request = build_request(
             graph=graph,
             dataset=dataset,
@@ -219,7 +214,7 @@ class SessionManager:
             colors=np.asarray(result.colors).copy(),
             n_colors=result.n_colors,
             algorithm=algorithm,
-            backend=backend,
+            backend=result.backend,
             num_vertices=resolved.num_vertices,
             num_edges=resolved.num_undirected_edges,
             graph_reused=reused,

@@ -6,10 +6,10 @@ load-bearing invariants pinned here:
 
 * ``plain`` reproduces the historical ``ceil(k / edges_per_block)``
   block math bit-for-bit;
-* the scalar ``EdgeLayout.prefix_blocks`` (event engine) and the
-  vectorized ``kernels.prefix_block_counts`` (batched engine) are the
-  same integer function — this is what makes engine parity survive
-  every layout;
+* ``EdgeLayout.prefix_blocks`` is the event engine's scalar reference
+  for the block math the native run repeats in C; the profile x layout
+  parity matrix (``tests/hw/test_mem_profiles.py``) checks that the two
+  agree under every layout;
 * compressed layouts never *increase* the total encoded bits, and
   delta-compression falls back to the plain entry width on rows whose
   neighbors are not sorted.
@@ -29,7 +29,6 @@ from repro.graph import (
     star_graph,
     validate_layout,
 )
-from repro.kernels import prefix_block_counts
 
 
 def preprocess(g):
@@ -127,26 +126,3 @@ class TestCompressedLayouts:
             layout = build_layout(g, name)
             assert layout.row_bits(g.degrees())[v] == 0
             assert layout.prefix_blocks(v, 0, 512) == 0
-
-
-class TestScalarVectorizedAgreement:
-    """The same prefix-block function, scalar and vectorized — the
-    engine-parity contract under compressed layouts hangs on this."""
-
-    @pytest.mark.parametrize("name", LAYOUTS)
-    @pytest.mark.parametrize("block_bits", (256, 512))
-    def test_prefix_blocks_match(self, name, block_bits, skewed):
-        layout = build_layout(skewed, name)
-        degrees = np.diff(skewed.offsets)
-        rng = np.random.default_rng(11)
-        counts = (rng.random(skewed.num_vertices) * (degrees + 1)).astype(
-            np.int64
-        )
-        vectorized = prefix_block_counts(
-            layout.header_bits, layout.entry_bits, counts, block_bits
-        )
-        scalar = np.array([
-            layout.prefix_blocks(v, int(counts[v]), block_bits)
-            for v in range(skewed.num_vertices)
-        ])
-        assert np.array_equal(vectorized, scalar)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph import erdos_renyi
+from repro.kernels import native, preferred_tier
 from repro.obs import Registry
 from repro.service import ColoringService, ServiceConfig
 
@@ -32,3 +33,19 @@ def service_factory():
     yield make
     for svc in created:
         svc.close(drain=False, timeout=5)
+
+
+@pytest.fixture
+def prefer_tier(monkeypatch):
+    """``prefer_tier(tier)`` makes ``tier`` the preferred software tier
+    the way a deployment does (``REPRO_NATIVE=0`` hides the compiled
+    tier) and returns False when this host cannot run it there."""
+
+    def prefer(tier: str) -> bool:
+        if tier == "vectorized":
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+            native.refresh()
+        return preferred_tier() == tier
+
+    yield prefer
+    native.refresh()  # the next probe sees the restored environment

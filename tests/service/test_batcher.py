@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.graph import CSRGraph, complete_graph, erdos_renyi, star_graph
+from repro.kernels import preferred_tier
 from repro.service import JobRequest, batch_key, disjoint_union, run_microbatch
 from repro.service.batcher import BATCHABLE_BACKENDS
 
@@ -51,18 +52,16 @@ class TestBatchKey:
 
     def test_default_bitwise_is_batchable(self):
         key = batch_key(self.request(), complete_graph(3))
-        assert key == ("bitwise", "vectorized", ())
+        assert key == ("bitwise", preferred_tier(), ())
 
-    def test_default_backend_fills_unpinned_key(self):
-        # The router passes its software tier; unpinned jobs key on it,
-        # pinned jobs keep their own backend.
+    def test_default_backend_fills_unpinned_key(self, prefer_tier):
+        # Unpinned jobs key on the preferred software tier their
+        # invocation resolves to; pinned jobs keep their own backend.
         g = complete_graph(3)
-        key = batch_key(self.request(), g, default_backend="native")
-        assert key == ("bitwise", "native", ())
-        pinned = batch_key(
-            self.request(backend="python"), g, default_backend="native"
-        )
-        assert pinned == ("bitwise", "python", ())
+        for tier in filter(prefer_tier, ("native", "vectorized")):
+            assert batch_key(self.request(), g) == ("bitwise", tier, ())
+            pinned = batch_key(self.request(backend="python"), g)
+            assert pinned == ("bitwise", "python", ())
 
     @pytest.mark.parametrize("backend", BATCHABLE_BACKENDS)
     def test_software_backends_batchable(self, backend):
@@ -85,7 +84,7 @@ class TestBatchKey:
         key = batch_key(
             self.request(opts={"prune_uncolored": False}), complete_graph(3)
         )
-        assert key == ("bitwise", "vectorized", (("prune_uncolored", False),))
+        assert key == ("bitwise", preferred_tier(), (("prune_uncolored", False),))
 
 
 class TestMicrobatchParity:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph import CSRGraph, complete_graph, erdos_renyi
+from repro.kernels import preferred_tier
 from repro.service import JobRequest, ResultCache
 
 
@@ -122,3 +123,38 @@ class TestSafety:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert stats["entries"] == 1
+
+
+class TestInvocationKey:
+    """The key is the resolved invocation, not the request's raw fields:
+    requests that run the same code share one entry."""
+
+    def test_equivalent_requests_share_entries(self, service_factory, prefer_tier):
+        # hw with and without engine="batched" run the same engine; an
+        # unpinned job shares with a pin to the tier it resolved to.  The
+        # other software pin keeps its own entry, so exactly 2 of the 5
+        # hit on either tier, and every result names what ran.
+        for tier in filter(prefer_tier, ("native", "vectorized")):
+            svc = service_factory()
+            sent = [
+                ({"backend": "hw"}, ("hw", "batched")),
+                ({"backend": "hw", "engine": "batched"}, ("hw", "batched")),
+                ({}, (tier, None)),
+                ({"backend": "native"}, ("native", None)),
+                ({"backend": "vectorized"}, ("vectorized", None)),
+            ]
+            hits = []
+            for kwargs, ran in sent:
+                result = svc.color(dataset="EF", **kwargs)
+                assert (result.backend, result.engine) == ran, kwargs
+                hits.append(result.cache_hit)
+            assert hits == [False, True, False, tier == "native",
+                            tier == "vectorized"]
+            assert sum(hits) == 2
+
+    def test_unpinned_shares_with_its_tier_pin(self):
+        cache = ResultCache(8)
+        g = complete_graph(3)
+        cache.put(request(), g, colors(), 3)
+        assert cache.get(request(backend=preferred_tier()), g) is not None
+        assert cache.get(request(backend="python"), g) is None

@@ -371,6 +371,21 @@ class TestValidation:
                 )
         assert svc.status()["jobs"]["submitted"] == 0
 
+    @pytest.mark.parametrize("option", ["mem_profile", "layout"])
+    def test_unknown_hw_option_eager(self, service_factory, option):
+        """An unknown memory profile or layout is rejected at submit with
+        the facade's message, not as a late JobFailed."""
+        svc = service_factory(executors=1)
+        graph = erdos_renyi(10, 0.2, seed=1)
+        with pytest.raises(ValueError) as facade:
+            repro.color(graph, backend="hw", **{option: "nope"})
+        with pytest.raises(ValueError) as served:
+            svc.submit(
+                JobRequest(graph=graph, backend="hw", opts={option: "nope"})
+            )
+        assert str(served.value) == str(facade.value)
+        assert svc.status()["jobs"]["submitted"] == 0
+
     def test_unknown_dataset_eager(self, service_factory):
         svc = service_factory(executors=1)
         with pytest.raises(ValueError, match="unknown dataset"):

@@ -185,6 +185,30 @@ def test_router_baseline_is_checked_in():
     assert doc["smoke"]["parity_colorings_checked"] > 0
 
 
+def test_hbm_parity_skipped_without_native_tier(monkeypatch):
+    """Without a compiler the batched engine is the event engine, so the
+    smoke skips the comparison with the probe's reason instead of running
+    the event engine twice."""
+    from repro.experiments import hbm_sweep
+    from repro.kernels import native
+
+    def duplicate_run(*args, **kwargs):
+        raise AssertionError("parity check ran the event engine twice")
+
+    monkeypatch.setattr(hbm_sweep, "_parity_check", duplicate_run)
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    native.refresh()
+    try:
+        smoke = hbm_sweep.run_hbm_smoke(datasets=("EF",))
+        reason = native.unavailable_reason()
+    finally:
+        native.refresh()  # the next probe sees the restored environment
+    assert smoke["parity_checks"] == 0
+    assert smoke["parity_skipped"] == reason
+    assert "REPRO_NATIVE" in reason
+    assert smoke["min_delta_reduction"] >= smoke["floor"]
+
+
 def test_hbm_baseline_is_checked_in():
     """The paper-tier sweep passes its own gate and carries the full axes."""
     doc = load_baseline("hbm")

@@ -19,7 +19,9 @@ from repro.coloring import (
     jones_plassmann_coloring,
     mis_coloring,
 )
+from repro.coloring.registry import resolve
 from repro.graph import powerlaw_cluster
+from repro.kernels import native, preferred_tier
 from repro.obs import Registry, use_registry
 
 
@@ -131,6 +133,40 @@ def test_engine_requires_hw_backend(graph):
     # Default backend is not hw either, so engine alone is rejected too.
     with pytest.raises(ValueError, match="requires backend='hw'"):
         repro.color(graph, "jp", engine="batched", seed=0)
+
+
+def test_unpinned_runs_the_preferred_tier(graph, monkeypatch):
+    """repro.color(g) runs preferred_tier() — vectorized under
+    REPRO_NATIVE=0 — with the colors of backend="vectorized"."""
+    reference = repro.color(graph, backend="vectorized").colors
+    try:
+        for disable in (False, True):
+            if disable:
+                monkeypatch.setenv("REPRO_NATIVE", "0")
+                native.refresh()
+            reg = Registry()
+            out = repro.color(graph, obs=reg)
+            (span,) = [s for s in reg.spans if s.name == "repro.color"]
+            assert span.attrs["backend"] == preferred_tier()
+            assert np.array_equal(out.colors, reference)
+        assert preferred_tier() == "vectorized"
+    finally:
+        native.refresh()  # the next probe sees the restored environment
+
+
+def test_resolve_canonicalises_the_invocation():
+    """One resolver: the backend that runs, and the hw engine made explicit."""
+    unpinned = resolve("bitwise")
+    assert (unpinned.backend, unpinned.pinned) == (preferred_tier(), False)
+    assert resolve("luby").backend == "vectorized"  # spec lists no native
+    assert resolve("greedy").backend is None
+    assert resolve("bitwise", "hw") == resolve("bitwise", "hw", "batched")
+    assert resolve("bitwise", "hw").engine == "batched"
+    assert resolve("bitwise", "hw", opts={"replay": "python"}).engine == "event"
+    auto = resolve("bitwise", "hw", opts={"replay": "auto"})
+    assert auto == resolve("bitwise", "hw") and "replay" not in auto.opts
+    strict = resolve("bitwise", "vectorized", opts={"native_strict": True})
+    assert strict.opts == {} and strict.pinned
 
 
 def test_valid_engine_accepted(graph):
