@@ -8,9 +8,6 @@ Installed as ``bitcolor-repro`` (or run ``python -m repro.cli``):
 * ``simulate`` — run the BitColor accelerator model and report modelled
   performance, optionally with a per-PE Gantt trace;
 * ``experiment`` — regenerate one paper table/figure;
-* ``sweep`` — run the scenario sweep (generator parameter space ×
-  backend matrix) and print the per-backend wins and slow-region
-  report;
 * ``serve`` — run the long-lived coloring service on a Unix socket;
   ``--workers N`` (N >= 2) runs a mesh instead: N worker processes
   behind one consistent-hash router on the same socket;
@@ -204,35 +201,6 @@ def cmd_experiment(args) -> int:
 
 def _axis_list(text, cast):
     return tuple(cast(part) for part in text.split(",") if part.strip())
-
-
-def cmd_sweep(args) -> int:
-    from .experiments.scenario_sweep import (
-        FULL_AXES, MINI_AXES, run_scenario_sweep, sweep_report,
-        write_sweep_table,
-    )
-
-    axes = dict(MINI_AXES if args.mini else FULL_AXES)
-    if args.sizes:
-        axes["sizes"] = _axis_list(args.sizes, int)
-    if args.skews:
-        axes["skews"] = _axis_list(args.skews, float)
-    if args.communities:
-        axes["communities"] = _axis_list(args.communities, float)
-    if args.densities:
-        axes["densities"] = _axis_list(args.densities, float)
-    table = run_scenario_sweep(
-        **axes,
-        repeats=args.repeats,
-        seed=args.seed,
-        progress=None if args.quiet else print,
-    )
-    if args.out:
-        write_sweep_table(table, args.out)
-        print(f"sweep table written to {args.out}")
-    print()
-    print(sweep_report(table, factor=args.slow_factor))
-    return 0
 
 
 def cmd_hbm_sweep(args) -> int:
@@ -536,35 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fig11", "fig12", "fig13", "fig14",
     ])
     e.set_defaults(fn=cmd_experiment)
-
-    sw = sub.add_parser(
-        "sweep",
-        help="scenario sweep: time every backend over graph space, "
-             "report per-backend wins and slow regions",
-    )
-    sw.add_argument("--mini", action="store_true",
-                    help="the small CI grid (seconds) instead of the full "
-                         "48-point grid behind BENCH_router.json")
-    sw.add_argument("--sizes", default=None,
-                    help="comma-separated vertex counts overriding the grid")
-    sw.add_argument("--skews", default=None,
-                    help="comma-separated RMAT home-quadrant probabilities "
-                         "(0.25 = uniform, 0.6 = heavy tail)")
-    sw.add_argument("--communities", default=None,
-                    help="comma-separated planted-community edge fractions")
-    sw.add_argument("--densities", default=None,
-                    help="comma-separated target mean degrees")
-    sw.add_argument("--repeats", type=int, default=2,
-                    help="timing repeats per backend (best-of)")
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--out", metavar="PATH",
-                    help="write the versioned sweep table here (JSON)")
-    sw.add_argument("--slow-factor", type=float, default=3.0,
-                    help="flag regions whose best backend exceeds this "
-                         "multiple of the median ns/edge")
-    sw.add_argument("--quiet", action="store_true",
-                    help="suppress per-point progress lines")
-    sw.set_defaults(fn=cmd_sweep)
 
     hs = sub.add_parser(
         "hbm-sweep",

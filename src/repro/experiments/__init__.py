@@ -44,19 +44,7 @@ from .mesh_bench import (
     run_mesh_parity,
     run_mesh_smoke,
 )
-from .router_bench import (
-    run_router_bench,
-    run_router_parity,
-)
 from .runner import get_graph, get_spec, run_bitcolor, run_cpu, run_gpu, run_greedy
-from .scenario_sweep import (
-    load_sweep_table,
-    run_scenario_sweep,
-    scenario_graph,
-    slow_regions,
-    sweep_report,
-    write_sweep_table,
-)
 from .service_bench import (
     run_service_bench,
     run_service_smoke,
@@ -123,14 +111,6 @@ __all__ = [
     "run_mesh_bench",
     "run_mesh_parity",
     "run_mesh_smoke",
-    "run_router_bench",
-    "run_router_parity",
-    "load_sweep_table",
-    "run_scenario_sweep",
-    "scenario_graph",
-    "slow_regions",
-    "sweep_report",
-    "write_sweep_table",
     "run_service_bench",
     "run_service_smoke",
     "run_streaming_bench",

@@ -37,7 +37,6 @@ from .hbm_sweep import SMOKE_MIN_DELTA_REDUCTION, run_hbm_smoke
 from .hw_bench import HW_FLOOR_SPEEDUP, run_hw_smoke
 from .kernel_bench import run_native_smoke, run_obs_overhead_pair
 from .mesh_bench import MESH_SCALING_FLOOR, mesh_skip_reason, run_mesh_smoke
-from .router_bench import off_rule_points, run_router_parity
 from .service_bench import run_service_smoke
 from .streaming_bench import STREAMING_FLOOR_SPEEDUP, run_streaming_smoke
 
@@ -151,15 +150,6 @@ def _smoke_speedup(run_smoke: Callable[..., Dict[str, object]]):
     return lambda doc, repeats: run_smoke(repeats=repeats)["baseline_speedup"]
 
 
-def _router(doc: Baseline, repeats: int) -> float:
-    # Share of the recorded sweep points whose fastest backend is one
-    # the routing rule picks; the live probe raises if
-    # routing changed any colors.
-    matrix = doc["matrix"]
-    run_router_parity()
-    return 1.0 - len(off_rule_points(matrix)) / len(matrix["points"])
-
-
 def _hbm(doc: Baseline, repeats: int) -> float:
     # Engine parity on every profile x layout raises inside the smoke
     # (skipped with the probe's reason without the native tier).
@@ -182,7 +172,6 @@ GATES: Tuple[Gate, ...] = (
          STREAMING_FLOOR_SPEEDUP),
     Gate("mesh", "floor", _smoke_speedup(run_mesh_smoke), MESH_SCALING_FLOOR,
          skip=mesh_skip_reason),
-    Gate("router", "deterministic", _router, 1.0, baseline="router"),
     Gate("hbm", "deterministic", _hbm, SMOKE_MIN_DELTA_REDUCTION),
     # Raw scatter-OR + first-free, vectorized vs compiled.  Raw kernel
     # speedups vary widely across hosts; the native tier silently

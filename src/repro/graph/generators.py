@@ -12,6 +12,11 @@ this offline reproduction.  Each generator here produces a graph of the same
 * collaboration / product networks (com-DBLP, com-Amazon) — community
   structure with moderate skew: :func:`community_graph`.
 
+:func:`scenario_graph` spans the space between these classes with four
+continuous knobs (size, degree skew, community strength, density), so
+one test or oracle can sample graph shapes rather than a few named
+points.
+
 All generators are deterministic given ``seed`` and return
 :class:`~repro.graph.csr.CSRGraph` instances.
 """
@@ -30,6 +35,7 @@ __all__ = [
     "powerlaw_cluster",
     "road_grid",
     "community_graph",
+    "scenario_graph",
     "erdos_renyi",
     "random_regular",
     "complete_graph",
@@ -284,6 +290,80 @@ def community_graph(
     src = np.concatenate(src_parts) if src_parts else np.zeros(0, dtype=np.int64)
     dst = np.concatenate(dst_parts) if dst_parts else np.zeros(0, dtype=np.int64)
     return CSRGraph.from_arrays(n, src, dst, name=name)
+
+
+# ----------------------------------------------------------------------
+# Scenario graphs (skew x community x density x size)
+# ----------------------------------------------------------------------
+
+def scenario_graph(
+    size: int,
+    skew: float,
+    community: float,
+    density: float,
+    *,
+    seed: int = 0,
+    name: Optional[str] = None,
+) -> CSRGraph:
+    """One sampled point of graph space, deterministic given the knobs.
+
+    Edges are a mixture: ``community`` of them are planted inside
+    √n-sized communities, the rest follow an RMAT quadrant walk with
+    home-quadrant probability ``skew`` (the remaining mass split evenly,
+    so ``skew = 0.25`` degenerates to a uniform random graph).  Target
+    edge count is ``size * density / 2`` undirected pairs; duplicates
+    and self-loops are canonicalised away by the CSR constructor, so the
+    realised density lands slightly below the knob — measure the graph
+    rather than trusting the nominal knobs.
+    """
+    if size < 2:
+        raise ValueError("size must be >= 2")
+    if not 0.25 <= skew <= 0.95:
+        raise ValueError("skew (RMAT home-quadrant probability) must be in [0.25, 0.95]")
+    if not 0.0 <= community <= 1.0:
+        raise ValueError("community must be in [0, 1]")
+    if density <= 0:
+        raise ValueError("density must be positive")
+    gen = np.random.default_rng(
+        np.random.SeedSequence([seed, size, int(skew * 1000),
+                                int(community * 1000), int(density * 1000)])
+    )
+    m = max(1, int(size * density / 2))
+    m_comm = int(round(m * community))
+    m_skew = m - m_comm
+    src_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
+    if m_skew:
+        # RMAT quadrant walk over the next power of two, folded onto
+        # [0, size) — preserves the heavy tail for any vertex count.
+        scale = max(1, int(np.ceil(np.log2(size))))
+        rest = (1.0 - skew) / 3.0
+        a, b, c = skew, rest, rest
+        src = np.zeros(m_skew, dtype=np.int64)
+        dst = np.zeros(m_skew, dtype=np.int64)
+        for level in range(scale):
+            r = gen.random(m_skew)
+            bit = np.int64(1 << (scale - 1 - level))
+            go_right = ((r >= a) & (r < a + b)) | (r >= a + b + c)
+            go_down = r >= a + b
+            src += bit * go_down.astype(np.int64)
+            dst += bit * go_right.astype(np.int64)
+        src_parts.append(src % size)
+        dst_parts.append(dst % size)
+    if m_comm:
+        csize = max(4, int(np.sqrt(size)))
+        u = gen.integers(0, size, size=m_comm)
+        base = (u // csize) * csize
+        w = base + gen.integers(0, csize, size=m_comm)
+        src_parts.append(u)
+        dst_parts.append(np.minimum(w, size - 1))
+    return CSRGraph.from_arrays(
+        size,
+        np.concatenate(src_parts),
+        np.concatenate(dst_parts),
+        name=name
+        or f"scenario[n={size},a={skew},c={community},d={density},s={seed}]",
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,28 +1,27 @@
-"""Backend routing: which execution lane should a job take?
+"""Job routing: which execution lane does a job take?
 
 The router turns one job (plus its resolved graph) into a
 :class:`RouteDecision`.  It never picks a backend: the job's
 :attr:`~repro.service.jobs.JobRequest.invocation` (resolved once by
 :func:`repro.coloring.registry.resolve`, the same rule
 :func:`repro.color` applies) already names the backend and engine that
-run — the caller's pin, or for an unpinned job the preferred software
-tier (``"native"`` when the compiled kernels are available, else
-``"vectorized"``).  The router only picks the lane:
+run.  The router picks only the lane, by one rule:
 
-* a job with a micro-batch key (:func:`~repro.service.batcher.batch_key`:
-  bit-wise greedy on a software tier with union-safe options) and at
-  most the **micro-batch crossover** (:data:`MICROBATCH_CROSSOVER` of
-  the preferred tier) vertices goes to the micro-batch lane, where the
-  batcher coalesces it with its queue neighbours into one kernel
-  invocation — color-identical by construction, pinned or not;
-* every other job runs solo on its invocation's backend.
+* a pinned job keeps its backend (and, for ``backend="hw"``, its
+  engine) — pinning never changes what runs;
+* a small job with a micro-batch key
+  (:func:`~repro.service.batcher.batch_key`: bit-wise greedy on a
+  software tier with union-safe options) of at most the **micro-batch
+  crossover** (:data:`MICROBATCH_CROSSOVER` of the preferred tier)
+  vertices takes the batch lane, where the batcher coalesces it with
+  its queue neighbours into one kernel invocation — color-identical by
+  construction, pinned or not;
+* every other job runs solo on its invocation's backend: the caller's
+  pin, or for an unpinned job the preferred software tier (``"native"``
+  when the compiled kernels are available, else ``"vectorized"``).
 
-Every lane an unpinned job can take follows the sequential greedy
-order, so routing decides only *which* engine runs, never the colors.
-The scenario sweep (:mod:`repro.experiments.scenario_sweep`) is the
-evidence that these two lanes are the whole candidate set: on every
-point of the recorded matrix the fastest backend is the micro-batch
-lane or the software tier.  ``backend="hw"`` stays reachable by pinning.
+Both lanes follow the sequential greedy order, so routing decides only
+*where* a job runs, never its colors.
 
 A routed job runs on its decided backend only: if that backend raises,
 the job fails with its error (there is no fallback backend).

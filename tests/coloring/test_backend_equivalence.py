@@ -14,7 +14,7 @@ cleanly when no C compiler is usable.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.coloring import (
@@ -23,7 +23,7 @@ from repro.coloring import (
     luby_mis,
     mis_coloring,
 )
-from repro.graph import CSRGraph
+from repro.graph import CSRGraph, scenario_graph
 from repro.kernels import native as native_kernels
 
 TIERS = [
@@ -42,6 +42,15 @@ common = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+# Fixed points of the scenario generator's space, one heavy-tailed and
+# one planted-community, run beside the random graphs so each tier is
+# also byte-compared on graphs of realistic size and shape.
+SCENARIO_GRAPHS = [
+    scenario_graph(1024, 0.6, 0.0, 8),
+    scenario_graph(1024, 0.45, 0.6, 6),
+]
 
 
 @st.composite
@@ -71,6 +80,10 @@ def assert_bitwise_equal(a, b):
 @pytest.mark.parametrize("tier", TIERS)
 @common
 @given(g=graphs(), prune=st.booleans())
+@example(g=SCENARIO_GRAPHS[0], prune=True)
+@example(g=SCENARIO_GRAPHS[0], prune=False)
+@example(g=SCENARIO_GRAPHS[1], prune=True)
+@example(g=SCENARIO_GRAPHS[1], prune=False)
 def test_bitwise_backends_agree(tier, g, prune):
     a = bitwise_greedy_coloring(g, prune_uncolored=prune)
     b = bitwise_greedy_coloring(g, prune_uncolored=prune, backend=tier)

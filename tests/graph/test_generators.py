@@ -16,6 +16,7 @@ from repro.graph import (
     random_regular,
     rmat,
     road_grid,
+    scenario_graph,
     star_graph,
 )
 from repro.graph.stats import gini_coefficient
@@ -133,6 +134,63 @@ class TestCommunityGraph:
     def test_invalid(self):
         with pytest.raises(GraphError):
             community_graph(0, 5)
+
+
+class TestScenarioGraph:
+    def test_deterministic_given_knobs(self):
+        a = scenario_graph(300, 0.45, 0.5, 6, seed=3)
+        b = scenario_graph(300, 0.45, 0.5, 6, seed=3)
+        assert a.fingerprint() == b.fingerprint()
+        _basic_invariants(a)
+
+    def test_seed_changes_the_graph(self):
+        a = scenario_graph(300, 0.45, 0.5, 6, seed=3)
+        b = scenario_graph(300, 0.45, 0.5, 6, seed=4)
+        assert a.fingerprint() != b.fingerprint()
+
+    def test_density_knob_moves_realised_density(self):
+        sparse = scenario_graph(1000, 0.3, 0.0, 2)
+        dense = scenario_graph(1000, 0.3, 0.0, 16)
+        assert dense.num_edges > 3 * sparse.num_edges
+
+    def test_skew_knob_moves_degree_skew(self):
+        # Home-quadrant probability 0.25 is uniform; 0.9 is a heavy tail.
+        # Skew is the max-to-mean degree ratio.
+        def skew(g):
+            return g.max_degree() / (g.num_edges / g.num_vertices)
+
+        flat = scenario_graph(2048, 0.25, 0.0, 8)
+        skewed = scenario_graph(2048, 0.9, 0.0, 8)
+        assert skew(skewed) > 2 * skew(flat)
+
+    def test_community_knob_concentrates_edges(self):
+        # With community=1.0 every edge lives inside a sqrt(n) block, so
+        # endpoints are never more than one block apart.
+        g = scenario_graph(900, 0.3, 1.0, 6)
+        csize = max(4, int(np.sqrt(900)))
+        arr = g.edge_array()
+        assert arr.shape[0] > 0
+        assert np.all(np.abs(arr[:, 0] // csize - arr[:, 1] // csize) <= 1)
+
+    def test_colorable(self):
+        from repro import color
+        from repro.coloring.verify import assert_proper_coloring
+
+        g = scenario_graph(500, 0.6, 0.4, 8, seed=1)
+        assert_proper_coloring(g, color(g, "bitwise").colors)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(size=1, skew=0.3, community=0.0, density=4),
+            dict(size=100, skew=0.1, community=0.0, density=4),
+            dict(size=100, skew=0.3, community=1.5, density=4),
+            dict(size=100, skew=0.3, community=0.0, density=0),
+        ],
+    )
+    def test_knob_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            scenario_graph(**kwargs)
 
 
 class TestErdosRenyi:

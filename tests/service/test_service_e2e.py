@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro.experiments import DATASET_KEYS, load_dataset
-from repro.graph import erdos_renyi, rmat, road_grid
+from repro.graph import erdos_renyi, road_grid, scenario_graph
 from repro.service import (
     Client,
     JobFailed,
@@ -108,10 +108,18 @@ class TestParityMatrix:
 class TestRoutingNeverChangesColors:
     """Unpinned jobs of any size and shape color like ``repro.color``."""
 
-    def test_large_skewed_graph_matches_direct(self, service_factory):
-        g = rmat(16, 8, seed=3)
-        assert g.num_vertices == 65_536
+    @pytest.mark.parametrize(
+        "point",
+        [(65_536, 0.6, 0.0, 4), (3000, 0.45, 0.6, 6)],
+        ids=["skewed-65536", "community-3000"],
+    )
+    def test_large_skewed_graph_matches_direct(self, service_factory, point):
+        # (size, skew, community, density): a heavy-tailed graph past 50k
+        # vertices and a planted-community one, both above every
+        # micro-batch crossover, so they run solo.
+        g = scenario_graph(*point, seed=11)
         served = Client(service_factory()).color(g)
+        assert served.route.startswith("direct")
         assert served.colors.tobytes() == repro.color(g).colors.tobytes()
 
     def test_large_regular_graph_runs_on_the_software_tier(

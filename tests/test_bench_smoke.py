@@ -14,7 +14,6 @@ import pytest
 from repro.experiments import load_baseline, run_native_smoke, run_smoke
 from repro.experiments.gates import GATES, Gate, run_gate
 from repro.experiments.hw_bench import LARGEST_STANDIN
-from repro.experiments.router_bench import off_rule_points
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 ROWS = {gate.name: gate for gate in GATES}
@@ -77,7 +76,6 @@ def test_gate_table_bounds():
         "service": ("ratio", 4.0, "service"),
         "streaming": ("floor", 10.0, None),
         "mesh": ("floor", 1.3, None),
-        "router": ("deterministic", 1.0, "router"),
         "hbm": ("deterministic", 0.15, None),
         "native": ("floor", 3.0, None),
     }
@@ -128,21 +126,6 @@ def test_smoke_script_main(monkeypatch, capsys):
     ]
 
 
-def test_router_smoke_flags_an_off_rule_point(monkeypatch):
-    """A matrix where another backend wins must fail the row."""
-    from repro.experiments import gates
-
-    matrix = load_baseline("router")["matrix"]
-    point = matrix["points"][0]
-    point["seconds"]["hw"] = min(point["seconds"].values()) / 2
-    assert off_rule_points(matrix) == [
-        {"params": point["params"], "fastest": "hw"}
-    ]
-    monkeypatch.setattr(gates, "load_baseline", lambda name: {"matrix": matrix})
-    monkeypatch.setattr(gates, "run_router_parity", lambda: 0)
-    assert run_gate(ROWS["router"]).status == "fail"
-
-
 def test_baseline_is_checked_in():
     doc = load_baseline("kernels")
     assert doc["smoke"]["baseline_speedup"] > 1.0
@@ -172,17 +155,6 @@ def test_streaming_baseline_is_checked_in():
     assert doc["smoke"]["validated_batches"] > 0
     for entry in doc["entries"]:
         assert entry["validated_batches"] == entry["batches"]
-
-
-def test_router_baseline_is_checked_in():
-    doc = load_baseline("router")
-    # The acceptance record: on every sweep point the measured-fastest
-    # parity-neutral backend is one the routing rule picks (micro-batch
-    # or the software tier), with live coloring parity asserted.
-    assert len(doc["matrix"]["points"]) >= 48
-    assert doc["smoke"]["points"] == len(doc["matrix"]["points"])
-    assert doc["smoke"]["off_rule_points"] == 0
-    assert doc["smoke"]["parity_colorings_checked"] > 0
 
 
 def test_hbm_parity_skipped_without_native_tier(monkeypatch):

@@ -307,6 +307,37 @@ class TestMemProfilesAndLayouts:
         assert "validated" in capsys.readouterr().out
 
 
+def _stub_hbm_smoke(monkeypatch, min_delta_reduction=0.3):
+    """Replace the ``hbm`` gate's smoke with a counting stub returning the
+    two fields the verb reads.  The CLI tests check the verb's wiring; the
+    real smoke runs in ``tests/test_bench_smoke.py::test_gate[hbm]``."""
+    from repro.experiments import hbm_sweep
+
+    calls = []
+
+    def smoke():
+        calls.append(1)
+        return {
+            "parity_skipped": None,
+            "min_delta_reduction": min_delta_reduction,
+        }
+
+    monkeypatch.setattr(hbm_sweep, "run_hbm_smoke", smoke)
+    return calls
+
+
+def _stub_hbm_sweep(monkeypatch):
+    """Replace the sweep itself with an empty result, for tests of the
+    ``--check`` gate wiring alone; ``test_mini_sweep_end_to_end`` runs the
+    real mini sweep."""
+    from repro.experiments import hbm_sweep
+
+    monkeypatch.setattr(
+        hbm_sweep, "run_hbm_sweep",
+        lambda **axes: {"entries": [], "crossover": [], "figure": ""},
+    )
+
+
 class TestHbmSweep:
     def test_parser_args(self):
         from repro.cli import build_parser
@@ -318,7 +349,8 @@ class TestHbmSweep:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["hbm-sweep", "--tier", "huge"])
 
-    def test_mini_sweep_end_to_end(self, tmp_path, capsys):
+    def test_mini_sweep_end_to_end(self, tmp_path, capsys, monkeypatch):
+        _stub_hbm_smoke(monkeypatch)
         out_path = tmp_path / "hbm.json"
         rc = main([
             "hbm-sweep", "--mini", "--parallelisms", "8",
@@ -333,16 +365,11 @@ class TestHbmSweep:
         doc = json.loads(out_path.read_text())
         assert doc["colors_identical_across_cells"] is True
         assert {e["channels"] for e in doc["entries"]} == {4, 32}
+        assert doc["smoke"]["min_delta_reduction"] == 0.3
 
     def test_hbm_smoke_runs_once_under_check(self, monkeypatch, capsys):
-        from repro.experiments import hbm_sweep
-
-        calls = []
-        real = hbm_sweep.run_hbm_smoke
-        monkeypatch.setattr(
-            hbm_sweep, "run_hbm_smoke",
-            lambda: calls.append(1) or real(),
-        )
+        _stub_hbm_sweep(monkeypatch)
+        calls = _stub_hbm_smoke(monkeypatch)
         rc = main([
             "hbm-sweep", "--mini", "--parallelisms", "8",
             "--channels", "4,32", "--check", "--quiet",
@@ -350,3 +377,16 @@ class TestHbmSweep:
         assert rc == 0
         assert len(calls) == 1
         assert "floor 15.0%" in capsys.readouterr().out
+
+    def test_check_fails_below_the_reduction_floor(self, monkeypatch, capsys):
+        from repro.experiments.hbm_sweep import SMOKE_MIN_DELTA_REDUCTION
+
+        _stub_hbm_sweep(monkeypatch)
+        _stub_hbm_smoke(monkeypatch, SMOKE_MIN_DELTA_REDUCTION - 0.01)
+        rc = main([
+            "hbm-sweep", "--mini", "--parallelisms", "8",
+            "--channels", "4,32", "--check", "--quiet",
+        ])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "FAIL: delta-compressed layout fell below" in out
