@@ -5,9 +5,10 @@ shrinks (the paper fixes 512K vertices; this shows why that choice is
 comfortable for mid-size graphs and what the CF-class regime costs).
 """
 
+import repro
 from repro.experiments import get_graph
 from repro.experiments.report import render_table
-from repro.hw import BitColorAccelerator, HWConfig
+from repro.hw import HWConfig
 
 
 def run(key="CL", fractions=(1.0, 0.5, 0.25, 0.1, 0.02, 0.0)):
@@ -16,7 +17,7 @@ def run(key="CL", fractions=(1.0, 0.5, 0.25, 0.1, 0.02, 0.0)):
     for frac in fractions:
         cache_vertices = max(1, int(frac * g.num_vertices)) if frac > 0 else 1
         cfg = HWConfig(parallelism=16, cache_bytes=2 * cache_vertices)
-        res = BitColorAccelerator(cfg).run(g)
+        res = repro.color(g, backend="hw", config=cfg)
         out.append((frac, res.stats.makespan_cycles, res.stats.ldv_reads,
                     res.stats.cache_reads))
     return out

@@ -6,9 +6,9 @@ DRAM reads that conflict forwarding *saves*, and the stall cycles it
 costs.
 """
 
+import repro
 from repro.experiments import get_graph, get_spec
 from repro.experiments.report import render_table
-from repro.hw import BitColorAccelerator
 
 
 def run(key="CO"):
@@ -17,7 +17,7 @@ def run(key="CO"):
     out = []
     for p in (2, 4, 8, 16):
         cfg = spec.config_for(p, g.num_vertices)
-        res = BitColorAccelerator(cfg).run(g)
+        res = repro.color(g, backend="hw", config=cfg)
         s = res.stats
         out.append((p, s.conflicts, s.stall_cycles, s.dram_queue_cycles,
                     s.makespan_cycles))

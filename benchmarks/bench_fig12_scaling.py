@@ -3,16 +3,16 @@
 Paper: 16 BWPEs achieve 3.92x-7.01x over one BWPE — sublinear because of
 data conflicts, dispatch serialization and shared DRAM bandwidth.
 
-Set ``BITCOLOR_PAPER_TIER=1`` to also sweep the ~10x larger paper-scale
-stand-ins on the batched accelerator engine (minutes, not hours — the
-event engine is impractical at that scale).
+The ~10x larger paper-scale stand-ins are swept too whenever the native
+kernel tier loads; without it the accelerator model runs the event
+engine, impractical at that scale, and that sweep skips with the probe's
+reason.
 """
-
-import os
 
 import pytest
 
 from repro.experiments import fig12_scaling, report
+from repro.kernels import native
 
 
 def test_fig12_scaling(benchmark, once, capsys):
@@ -29,18 +29,14 @@ def test_fig12_scaling(benchmark, once, capsys):
         assert series[16] > 3.0, key
 
 
-@pytest.mark.skipif(
-    os.environ.get("BITCOLOR_PAPER_TIER") != "1",
-    reason="paper-scale sweep is opt-in (set BITCOLOR_PAPER_TIER=1)",
-)
 def test_fig12_scaling_paper_tier(benchmark, once, capsys):
-    """Same sweep on the ~10x paper-scale tier, batched engine only."""
-    result = once(
-        benchmark,
-        lambda: fig12_scaling(engine="batched", tier="paper"),
-    )
+    """Same sweep on the ~10x paper-scale tier."""
+    reason = native.unavailable_reason()
+    if reason is not None:
+        pytest.skip(reason)
+    result = once(benchmark, lambda: fig12_scaling(tier="paper"))
     with capsys.disabled():
-        print("\n=== Fig 12 (paper-scale tier, batched engine) ===")
+        print("\n=== Fig 12 (paper-scale tier) ===")
         print(report.render_fig12(result))
     for key, series in result.items():
         ps = sorted(series)

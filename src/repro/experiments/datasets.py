@@ -59,9 +59,9 @@ DATASET_TIERS = ("standin", "paper")
 ``"standin"`` (default) is the classic tier sized for the event-driven
 simulator (seconds per run).  ``"paper"`` is roughly 10× the vertices in
 the same topology class — still far below the real SNAP graphs but big
-enough that only the batched engine finishes interactively; callers must
-ask for it explicitly (the experiment drivers gate it behind
-``BITCOLOR_PAPER_TIER=1``)."""
+enough that only the batched engine's native run finishes interactively;
+callers must ask for it explicitly (the Fig 12 benchmark driver sweeps
+it whenever the native kernel tier loads)."""
 
 
 def paper_hdv_fraction(paper_nodes: int) -> float:

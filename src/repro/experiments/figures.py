@@ -103,7 +103,6 @@ class AblationStep:
 def fig11_ablation(
     keys: Sequence[str] = DATASET_KEYS,
     *,
-    engine: str = "event",
     tier: str = "standin",
 ) -> Dict[str, List[AblationStep]]:
     """Figure 11: single-BWPE performance under cumulative optimizations.
@@ -117,7 +116,7 @@ def fig11_ablation(
         steps: List[AblationStep] = []
         base: Optional[AblationStep] = None
         for label, flags in _ABLATION_STEPS:
-            res = run_bitcolor(key, parallelism=1, flags=flags, engine=engine, tier=tier)
+            res = run_bitcolor(key, parallelism=1, flags=flags, tier=tier)
             s = res.stats
             if base is None:
                 step = AblationStep(
@@ -144,26 +143,22 @@ def fig12_scaling(
     keys: Sequence[str] = DATASET_KEYS,
     parallelisms: Sequence[int] = PARALLELISM_SWEEP,
     *,
-    engine: str = "event",
     tier: str = "standin",
 ) -> Dict[str, Dict[int, float]]:
     """Figure 12: speedup over a single BWPE at each parallelism.
 
     The paper reports 3.92×–7.01× at P = 16 — sublinear because of data
     conflicts and scheduling, which the model reproduces via stalls.
-    ``engine="batched"`` + ``tier="paper"`` runs the sweep on the ~10×
-    stand-ins, which the event engine cannot do interactively.
+    ``tier="paper"`` runs the sweep on the ~10× stand-ins.
     """
     out: Dict[str, Dict[int, float]] = {}
     for key in keys:
         base = run_bitcolor(
-            key, parallelism=parallelisms[0], engine=engine, tier=tier
+            key, parallelism=parallelisms[0], tier=tier
         ).stats.makespan_cycles
         out[key] = {}
         for p in parallelisms:
-            cyc = run_bitcolor(
-                key, parallelism=p, engine=engine, tier=tier
-            ).stats.makespan_cycles
+            cyc = run_bitcolor(key, parallelism=p, tier=tier).stats.makespan_cycles
             out[key][p] = base / max(cyc, 1)
     return out
 
@@ -214,8 +209,6 @@ class Fig13Result:
 def fig13_comparison(
     keys: Sequence[str] = DATASET_KEYS,
     parallelism: int = 16,
-    *,
-    engine: str = "event",
 ) -> Fig13Result:
     """Figure 13 + Section 5.3 aggregates: BitColor vs CPU vs GPU.
 
@@ -229,7 +222,7 @@ def fig13_comparison(
         n = get_graph(key).num_vertices
         cpu = run_cpu(key)
         gpu = run_gpu(key)
-        fpga = run_bitcolor(key, parallelism=parallelism, engine=engine)
+        fpga = run_bitcolor(key, parallelism=parallelism)
         fpga_t = fpga.time_seconds
         fpga_w = power.fpga_watts(parallelism)
         result.rows.append(

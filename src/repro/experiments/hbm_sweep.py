@@ -52,6 +52,8 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
+from ..api import color
+from ..coloring.registry import resolve
 from ..graph.layout import DEFAULT_LAYOUT, LAYOUTS
 from ..hw import BitColorAccelerator, OptimizationFlags, mem
 from ..kernels import native
@@ -126,10 +128,9 @@ def _stress_config(key: str, graph, *, channels: int, parallelism: int):
     )
 
 
-def _run(graph, config, *, layout: str, mgr: bool, engine: str = "batched"):
-    flags = OptimizationFlags(mgr=mgr)
-    acc = BitColorAccelerator(config, flags, engine=engine, layout=layout)
-    return acc.run(graph)
+def _run(graph, config, *, layout: str, mgr: bool):
+    return color(graph, backend="hw", config=config,
+                 flags=OptimizationFlags(mgr=mgr), layout=layout)
 
 
 def run_hbm_sweep(
@@ -139,7 +140,6 @@ def run_hbm_sweep(
     parallelisms: Sequence[int] = PAPER_SWEEP["parallelisms"],
     layouts: Sequence[str] = LAYOUTS,
     tier: str = PAPER_SWEEP["tier"],
-    engine: str = "batched",
     threshold: float = MERGE_PAYS_THRESHOLD,
 ) -> Dict[str, object]:
     """Run the channels x layout x P sweep; returns the result document.
@@ -159,10 +159,8 @@ def run_hbm_sweep(
                     key, graph, channels=ch, parallelism=parallelism
                 )
                 for layout in layouts:
-                    on = _run(graph, config, layout=layout, mgr=True,
-                              engine=engine)
-                    off = _run(graph, config, layout=layout, mgr=False,
-                               engine=engine)
+                    on = _run(graph, config, layout=layout, mgr=True)
+                    off = _run(graph, config, layout=layout, mgr=False)
                     for label, res in (("mgr on", on), ("mgr off", off)):
                         if reference_colors is None:
                             reference_colors = res.colors
@@ -222,7 +220,7 @@ def run_hbm_sweep(
         "benchmark": "hbm-sweep",
         "profile": _SWEEP_PROFILE,
         "tier": tier,
-        "engine": engine,
+        "engine": resolve("bitwise", "hw").engine,
         "cache_scale": BANDWIDTH_STRESS_CACHE_SCALE,
         "merge_pays_threshold": threshold,
         "axes": {

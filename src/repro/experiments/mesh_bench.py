@@ -36,7 +36,7 @@ import numpy as np
 from ..graph import erdos_renyi
 from ..obs import Registry
 from .datasets import DATASET_KEYS, load_dataset
-from ..parallel.pool import usable_cpus
+from ..parallel.shm import usable_cpus
 from .kernel_bench import _best_of
 
 __all__ = [

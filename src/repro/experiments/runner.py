@@ -9,30 +9,25 @@ and :mod:`repro.experiments.tables` stay declarative and cheap to combine.
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
 
+from ..api import color
 from ..coloring.greedy import GreedyResult, greedy_coloring
 from ..graph.csr import CSRGraph
-from ..hw.accelerator import AcceleratorResult, BitColorAccelerator
-from ..hw.config import HWConfig, OptimizationFlags
-from ..obs import Registry, get_registry, use_registry
+from ..hw.accelerator import AcceleratorResult
+from ..hw.config import OptimizationFlags
+from ..obs import get_registry
 from ..perfmodel.cpu import CPUModel, CPURunResult
 from ..perfmodel.gpu import GPUModel, GPURunResult
 from .datasets import REGISTRY, DatasetSpec, load_dataset
 
 __all__ = [
-    "SweepRun",
     "get_spec",
     "get_graph",
     "run_bitcolor",
     "run_cpu",
     "run_gpu",
     "run_greedy",
-    "run_sweep",
 ]
 
 
@@ -57,23 +52,21 @@ def run_bitcolor(
     key: str,
     parallelism: int = 16,
     flags: OptimizationFlags = OptimizationFlags.all(),
-    engine: str = "event",
     tier: str = "standin",
 ) -> AcceleratorResult:
     """Simulate BitColor on a stand-in with paper-faithful cache scaling.
 
-    ``engine="batched"`` routes through the epoch-vectorized fast path
-    (identical results); ``tier="paper"`` runs the ~10× stand-in size
-    tier, which is only practical together with the batched engine.
+    Runs ``repro.color(backend="hw")``, so the registry's resolver picks
+    the engine (the batched one, whose stats equal the event engine's);
+    ``tier="paper"`` runs the ~10× stand-in size tier.
     """
     spec = get_spec(key)
     with get_registry().span(
-        "experiment.bitcolor", dataset=key, parallelism=parallelism,
-        engine=engine, tier=tier,
+        "experiment.bitcolor", dataset=key, parallelism=parallelism, tier=tier
     ):
         graph = get_graph(key, tier=tier)
         config = spec.config_for(parallelism, graph.num_vertices)
-        return BitColorAccelerator(config, flags, engine=engine).run(graph)
+        return color(graph, backend="hw", config=config, flags=flags)
 
 
 @lru_cache(maxsize=None)
@@ -109,96 +102,3 @@ def run_gpu(key: str, seed: int = 0) -> GPURunResult:
     """GPU-model run (Jones–Plassmann work converted to Titan V time)."""
     with get_registry().span("experiment.gpu", dataset=key, seed=seed):
         return GPUModel().run(get_graph(key), seed=seed)
-
-
-# ----------------------------------------------------------------------
-# Dataset × algorithm sweeps over the shared process pool
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SweepRun:
-    """One (dataset, algorithm) cell of a sweep."""
-
-    dataset: str
-    algorithm: str
-    backend: Optional[str]
-    n_colors: int
-    seconds: float
-
-
-def _sweep_task(task: Tuple) -> Tuple[str, str, Optional[str], int, float, Optional[dict]]:
-    """Pool-side entry: load the dataset (memoised per worker) and color it.
-
-    Datasets are synthetic and regenerate from their registry seeds, so
-    each worker materialises its own copy via the ``lru_cache`` on
-    :func:`load_dataset` — no graph crosses the process boundary.
-    """
-    from .. import color as repro_color
-    from ..coloring.registry import get_algorithm, resolve
-
-    key, algorithm, seed, preprocessed, obs_enabled = task
-    spec = get_algorithm(algorithm)
-    opts = {}
-    if spec.supports_seed:
-        opts["seed"] = seed
-    backend = resolve(algorithm).backend
-    reg = Registry() if obs_enabled else None
-    scope = use_registry(reg) if reg is not None else nullcontext()
-    start = time.perf_counter()
-    with scope:
-        out = repro_color(
-            load_dataset(key, preprocessed=preprocessed), algorithm, **opts
-        )
-    seconds = time.perf_counter() - start
-    snapshot = reg.snapshot() if reg is not None else None
-    return key, algorithm, backend, int(out.n_colors), seconds, snapshot
-
-
-def run_sweep(
-    datasets: Sequence[str],
-    algorithms: Sequence[str],
-    *,
-    workers: Optional[int] = None,
-    seed: int = 0,
-    preprocessed: bool = True,
-) -> List[SweepRun]:
-    """Color every dataset with every algorithm, fanned over the shared pool.
-
-    The cell list is the Cartesian product in ``(dataset, algorithm)``
-    order, and results come back in that same order for any ``workers``
-    value (:func:`repro.parallel.pool.pool_map` preserves item order).
-    Per-cell spans and counters recorded in workers are merged into the
-    ambient registry, stamped with ``dataset=``/``algorithm=`` so the
-    flat artifact stays attributable.
-    """
-    from ..parallel.pool import pool_map, resolve_workers
-
-    for key in datasets:
-        get_spec(key)  # fail fast on typos before forking anything
-    reg = get_registry()
-    workers = resolve_workers(workers)
-    tasks = [
-        (key, algorithm, seed, preprocessed, reg.enabled)
-        for key in datasets
-        for algorithm in algorithms
-    ]
-    with reg.span(
-        "experiment.sweep",
-        datasets=len(datasets),
-        algorithms=len(algorithms),
-        workers=workers,
-    ):
-        rows = pool_map(_sweep_task, tasks, workers)
-        runs = []
-        for key, algorithm, backend, n_colors, seconds, snapshot in rows:
-            if snapshot is not None:
-                reg.merge_snapshot(snapshot, dataset=key, algorithm=algorithm)
-            runs.append(
-                SweepRun(
-                    dataset=key,
-                    algorithm=algorithm,
-                    backend=backend,
-                    n_colors=n_colors,
-                    seconds=seconds,
-                )
-            )
-    return runs

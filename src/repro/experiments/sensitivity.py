@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence
 
-from ..hw.accelerator import BitColorAccelerator
+from ..api import color
 from ..perfmodel.cpu import CPUCostParams, CPUModel
 from ..perfmodel.gpu import GPUCostParams, GPUModel
 from ..perfmodel.metrics import arith_mean
 from .datasets import DATASET_KEYS
-from .runner import get_graph, get_spec, run_cpu, run_gpu, run_greedy
+from .runner import get_graph, get_spec, run_bitcolor, run_cpu, run_gpu, run_greedy
 
 __all__ = [
     "SensitivityRow",
@@ -57,7 +57,7 @@ def _fpga_times(keys: Sequence[str], *, occupancy=None, channels=None) -> Dict[s
             cfg = replace(cfg, dram_read_occupancy_cycles=occupancy)
         if channels is not None:
             cfg = replace(cfg, dram_physical_channels=channels)
-        out[key] = BitColorAccelerator(cfg).run(g).time_seconds
+        out[key] = color(g, backend="hw", config=cfg).time_seconds
     return out
 
 
@@ -101,7 +101,7 @@ def sweep_cpu_memory(
     keys: Sequence[str] = _SUBSET,
 ) -> List[SensitivityRow]:
     """Scale the CPU model's memory latencies up and down."""
-    fpga = _fpga_times(keys)
+    fpga = {k: run_bitcolor(k, 16).time_seconds for k in keys}
     gpu = {k: run_gpu(k).time_seconds for k in keys}
     rows = []
     base = CPUCostParams()
@@ -137,7 +137,7 @@ def sweep_gpu_frontier_rate(
     keys: Sequence[str] = _SUBSET,
 ) -> List[SensitivityRow]:
     """Scale the GPU model's per-round frontier throughput."""
-    fpga = _fpga_times(keys)
+    fpga = {k: run_bitcolor(k, 16).time_seconds for k in keys}
     cpu = {k: run_cpu(k).time_seconds for k in keys}
     base = GPUCostParams()
     rows = []

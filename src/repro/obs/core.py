@@ -115,24 +115,6 @@ class HistogramStat:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "HistogramStat") -> None:
-        """Fold another summary into this one (count/total/extrema)."""
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.total += other.total
-        self.min = other.min if self.min is None else builtins_min(self.min, other.min)
-        self.max = other.max if self.max is None else builtins_max(self.max, other.max)
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "HistogramStat":
-        return cls(
-            count=int(d.get("count", 0)),
-            total=float(d.get("total", 0.0)),
-            min=d.get("min"),
-            max=d.get("max"),
-        )
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "count": self.count,
@@ -312,47 +294,6 @@ class Registry:
         if hist is None:
             hist = self.histograms[name] = HistogramStat()
         hist.observe(value)
-
-    def merge_snapshot(self, snapshot: Dict[str, object], **attrs) -> int:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        This is how the experiment sweep's pool workers bring their
-        observability home: each worker collects into its own registry,
-        ships ``snapshot()`` back (plain dicts cross process boundaries),
-        and the parent merges every task into the one registry the caller
-        sees — the same single-artifact story as the ExecutionTrace bridge.
-
-        Spans are re-recorded with fresh ids on their original clock (the
-        child's wall-clock timestamps are kept verbatim; ``attrs`` —
-        typically ``dataset=`` and ``algorithm=`` — is stamped onto every
-        merged span).
-        Counters add, gauges last-write-win, histograms fold their
-        count/total/extrema.  Returns the number of spans merged; no-op
-        (returning 0) while disabled.
-        """
-        if not self.enabled:
-            return 0
-        merged = 0
-        for s in snapshot.get("spans", ()):
-            self.record_span(
-                s["name"],
-                s["start"],
-                s["end"],
-                clock=s.get("clock", WALL_CLOCK),
-                depth=int(s.get("depth", 0)),
-                **{**s.get("attrs", {}), **attrs},
-            )
-            merged += 1
-        for name, value in snapshot.get("counters", {}).items():
-            self.add(name, value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name, value)
-        for name, d in snapshot.get("histograms", {}).items():
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = HistogramStat()
-            hist.merge(HistogramStat.from_dict(d))
-        return merged
 
     # -- introspection / export ----------------------------------------
     def snapshot(self) -> Dict[str, object]:

@@ -1,21 +1,16 @@
-"""Process-pool helpers for experiment fan-out and the mesh.
+"""Process helpers for the mesh, in :mod:`repro.parallel.shm`.
 
-* :mod:`repro.parallel.pool` — ordered pool mapping with a true-serial
-  ``workers=1`` reference path, plus :func:`usable_cpus` (the affinity
-  mask, not the host total) for sizing pools and recording hosts;
-* :mod:`repro.parallel.shm` — :func:`mp_context`, the start method the
-  sweep pool and the mesh's worker processes share.
+* :func:`mp_context` — the start method of the mesh's worker processes;
+* :func:`usable_cpus` — the affinity mask, not the host total, behind
+  the mesh gate's skip reason and the recorded host size.
 
 Coloring itself is single-process: every backend colors in the
 sequential greedy order, so colors never depend on how a job ran.
 """
 
-from .pool import pool_map, resolve_workers, usable_cpus
-from .shm import mp_context
+from .shm import mp_context, usable_cpus
 
 __all__ = [
     "mp_context",
-    "pool_map",
-    "resolve_workers",
     "usable_cpus",
 ]

@@ -95,7 +95,7 @@ def _worker_main(socket_path: str, config: ServiceConfig) -> None:
     ``serve`` installs the clean-drain signal handlers, so the router's
     ``terminate()`` drains queued and in-flight jobs before exit.  The
     trailing ``os._exit`` is defensive: a forked child inherits the
-    parent's module state (persistent pools, attachment caches) and must
+    parent's module state (open exporters and their atexit hook) and must
     never run teardown that belongs to the parent.
     """
     try:

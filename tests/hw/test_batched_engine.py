@@ -425,7 +425,12 @@ def test_native_replay_standins_exact(key):
 
 
 @needs_native
-@pytest.mark.parametrize("key", ["EF", "RC", "CD"])
+@pytest.mark.parametrize(
+    "key, parallelism",
+    # P=1 is the setting Fig 11's ablation runs at.
+    [("EF", 8), ("RC", 8), ("CD", 8), ("EF", 1)],
+    ids=["EF", "RC", "CD", "EF-P1"],
+)
 @pytest.mark.parametrize(
     "flags",
     [
@@ -435,9 +440,9 @@ def test_native_replay_standins_exact(key):
     ],
     ids=lambda f: f.label(),
 )
-def test_standins_flag_subsets_exact(key, flags):
+def test_standins_flag_subsets_exact(key, parallelism, flags):
     g = load_dataset(key)
-    cfg = get_spec(key).config_for(8, g.num_vertices)
+    cfg = get_spec(key).config_for(parallelism, g.num_vertices)
     assert_parity(g, cfg, flags)
 
 

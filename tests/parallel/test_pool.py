@@ -1,32 +1,16 @@
-"""Tests for the process-pool helpers (sweep fan-out, mesh start method)."""
+"""Tests for the process helpers (mesh start method, usable CPUs)."""
 
 import multiprocessing
 import os
 
-import pytest
-
-from repro.parallel.pool import pool_map, resolve_workers
-from repro.parallel.shm import mp_context
+from repro.parallel.shm import mp_context, usable_cpus
 
 
-def test_resolve_workers():
-    assert resolve_workers(3) == 3
-    assert resolve_workers(None) >= 1
-    with pytest.raises(ValueError):
-        resolve_workers(-1)
-
-
-def test_resolve_workers_follows_cpu_affinity(monkeypatch):
+def test_usable_cpus_follows_cpu_affinity(monkeypatch):
     """An affinity-restricted host must not be oversubscribed."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert resolve_workers(None) == 1
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pool_map_keeps_item_order(workers):
-    items = [-5, 3, -1, 4, -2]
-    assert pool_map(abs, items, workers) == [5, 3, 1, 4, 2]
+    assert usable_cpus() == 1
 
 
 def test_mp_context_prefers_fork():

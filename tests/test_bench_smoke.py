@@ -19,22 +19,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 ROWS = {gate.name: gate for gate in GATES}
 
 
-@pytest.fixture(autouse=True)
-def _quiesce_worker_pools():
-    """Reap any persistent worker pools before timing.
-
-    The smoke gates compare wall clock against a baseline recorded in a
-    clean single-process state; idle pool workers left behind by the
-    pooled experiment-sweep tests measurably perturb microsecond-scale
-    timings on small hosts, so the pools are shut down first (they
-    respawn on demand).
-    """
-    from repro.parallel.pool import shutdown_pools
-
-    shutdown_pools()
-    yield
-
-
 @pytest.mark.parametrize(
     "gate", [g for g in GATES if g.name != "kernels"], ids=lambda gate: gate.name
 )
