@@ -32,7 +32,7 @@ algorithm is registered as ``repro.color(..., algorithm="incremental")``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 

@@ -82,13 +82,11 @@ def jones_plassmann_coloring(
     backend:
         ``"python"`` colors each round's winners one at a time;
         ``"vectorized"`` colors them in one packed-bitset sweep
-        (identical results); ``"native"`` runs the same sweep over the
-        compiled kernel tier, falling back to vectorized when no
-        compiler backend is available.
+        (identical results).
     """
-    if backend not in ("python", "vectorized", "native"):
+    if backend not in ("python", "vectorized"):
         raise ValueError(
-            f"backend must be 'python', 'vectorized' or 'native', got {backend!r}"
+            f"backend must be 'python' or 'vectorized', got {backend!r}"
         )
     n = graph.num_vertices
     gen = np.random.default_rng(seed)
@@ -112,10 +110,8 @@ def jones_plassmann_coloring(
     with obs.span(
         "coloring.jp", backend=backend, vertices=n, edges=graph.num_edges
     ):
-        if backend in ("vectorized", "native"):
-            _jp_vectorized_rounds(
-                graph, prio, colors, uncolored, result, cap, tier=backend
-            )
+        if backend == "vectorized":
+            _jp_vectorized_rounds(graph, prio, colors, uncolored, result, cap)
         else:
             _jp_python_rounds(
                 graph, prio, colors, uncolored, result, cap, src_all, dst_all
@@ -183,8 +179,6 @@ def _jp_vectorized_rounds(
     uncolored: np.ndarray,
     result: JPResult,
     cap: int,
-    *,
-    tier: str = "vectorized",
 ) -> None:
     """The round loop over the packed-bitset kernels.
 
@@ -204,7 +198,7 @@ def _jp_vectorized_rounds(
     """
     from ..kernels import gather_ranges, resolve_tier_kernels, words_for_colors
 
-    scatter_or_colors, first_free_colors_packed = resolve_tier_kernels(tier)
+    scatter_or_colors, first_free_colors_packed = resolve_tier_kernels("vectorized")
     n = graph.num_vertices
     deg = graph.degrees()
     # Neighbour colors never exceed the maximum assigned so far, and a

@@ -18,7 +18,6 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..obs import get_registry
 from .outcome import OutcomeMixin
-from .verify import UNCOLORED
 
 __all__ = ["luby_mis", "MISColoringResult", "mis_coloring"]
 

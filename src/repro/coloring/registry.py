@@ -303,7 +303,7 @@ register_algorithm(
     AlgorithmSpec(
         name="jp",
         run=jones_plassmann_coloring,
-        backends=("python", "vectorized", "native"),
+        backends=("python", "vectorized"),
         default_backend="vectorized",
         supports_seed=True,
         deterministic=False,

@@ -7,7 +7,6 @@ particular is only trusted because these checks run over it in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np

@@ -14,9 +14,9 @@ from ..graph.stats import overlap_ratio_sweep
 from ..hw.config import HWConfig, OptimizationFlags
 from ..hw.energy import DEFAULT_POWER
 from ..hw.resources import ResourceReport, estimate_resources
-from ..perfmodel.metrics import ComparisonRow, arith_mean, kcvj, mcvs
+from ..perfmodel.metrics import arith_mean, kcvj, mcvs
 from .datasets import DATASET_KEYS
-from .runner import get_graph, get_spec, run_bitcolor, run_cpu, run_gpu
+from .runner import get_graph, run_bitcolor, run_cpu, run_gpu
 
 __all__ = [
     "fig3a_breakdown",

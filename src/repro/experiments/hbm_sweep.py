@@ -56,6 +56,7 @@ from ..api import color
 from ..coloring.registry import resolve
 from ..graph.layout import DEFAULT_LAYOUT, LAYOUTS
 from ..hw import BitColorAccelerator, OptimizationFlags, mem
+from ..hw.accelerator import engine_that_runs
 from ..kernels import native
 from .datasets import REGISTRY, load_dataset
 from .kernel_bench import smoke_graph
@@ -149,6 +150,8 @@ def run_hbm_sweep(
     Deterministic — modeled cycles only, no timing.
     """
     datasets = tuple(datasets)
+    requested = resolve("bitwise", "hw").engine
+    engines = set()
     entries = []
     for key in datasets:
         graph = load_dataset(key, tier=tier)
@@ -158,6 +161,7 @@ def run_hbm_sweep(
                 config = _stress_config(
                     key, graph, channels=ch, parallelism=parallelism
                 )
+                engines.add(engine_that_runs(requested, config))
                 for layout in layouts:
                     on = _run(graph, config, layout=layout, mgr=True)
                     off = _run(graph, config, layout=layout, mgr=False)
@@ -220,7 +224,7 @@ def run_hbm_sweep(
         "benchmark": "hbm-sweep",
         "profile": _SWEEP_PROFILE,
         "tier": tier,
-        "engine": resolve("bitwise", "hw").engine,
+        "engine": "+".join(sorted(engines)),
         "cache_scale": BANDWIDTH_STRESS_CACHE_SCALE,
         "merge_pays_threshold": threshold,
         "axes": {

@@ -18,9 +18,9 @@ Entry points:
 * :func:`run_native_smoke` — the raw scatter-OR + first-free kernels,
   vectorized vs the optional compiled tier (:mod:`repro.kernels.native`);
   reports itself unavailable when no C compiler is present.  When a
-  native backend is detected, :func:`_measure` also times every
-  (dataset, algorithm) pair with ``backend="native"`` and records
-  ``native_s`` / ``native_speedup`` columns.
+  native backend is detected, :func:`_measure` also times the bitwise
+  greedy with ``backend="native"`` and records ``native_s`` /
+  ``native_speedup`` columns.
 
 Timings are best-of-``repeats`` wall clock: the minimum is the standard
 robust statistic for micro-benchmarks because noise is strictly additive.
@@ -99,9 +99,10 @@ def _measure(graph: CSRGraph, algorithm: str, repeats: int) -> Dict[str, float]:
     }
     from ..kernels import native
 
-    # Luby MIS never touches the packed-bitset kernels, so there is no
-    # native tier to time for it.
-    if native.available() and algorithm in ("bitwise", "jones_plassmann"):
+    # Only Algorithm 2 has a native tier: Luby MIS never touches the
+    # packed-bitset kernels, and Jones–Plassmann's native tier measured
+    # no faster than its vectorized one.
+    if native.available() and algorithm == "bitwise":
         native_fn = _runner(algorithm, graph, "native")
         native_fn()
         native_s = _best_of(native_fn, repeats)

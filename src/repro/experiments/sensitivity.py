@@ -23,7 +23,6 @@ from ..api import color
 from ..perfmodel.cpu import CPUCostParams, CPUModel
 from ..perfmodel.gpu import GPUCostParams, GPUModel
 from ..perfmodel.metrics import arith_mean
-from .datasets import DATASET_KEYS
 from .runner import get_graph, get_spec, run_bitcolor, run_cpu, run_gpu, run_greedy
 
 __all__ = [

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..coloring.greedy import greedy_coloring_fast
 from ..coloring.verify import num_colors

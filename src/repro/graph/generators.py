@@ -23,7 +23,7 @@ All generators are deterministic given ``seed`` and return
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 

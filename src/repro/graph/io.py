@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import os
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "save_npz",
     "load_npz",
     "write_dimacs",
-    "write_edge_list",
 ]
 
 PathLike = Union[str, os.PathLike]
@@ -98,13 +97,4 @@ def write_dimacs(graph: CSRGraph, path: PathLike) -> None:
     for u, v in graph.iter_edges():
         if u < v:
             lines.append(f"e {u + 1} {v + 1}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_edge_list(graph: CSRGraph, path: PathLike) -> None:
-    """Write a SNAP-style edge list (each undirected edge once)."""
-    lines = [f"# {graph.name}: {graph.num_vertices} vertices"]
-    for u, v in graph.iter_edges():
-        if u < v:
-            lines.append(f"{u}\t{v}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -21,7 +21,7 @@ the permutation applied, so colorings can be mapped back to original IDs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

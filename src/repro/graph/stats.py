@@ -15,7 +15,7 @@ a conventional temporal-locality cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 

@@ -31,7 +31,7 @@ from .resources import (
     estimate_resources,
     multiport_bram_comparison,
 )
-from .energy import DEFAULT_POWER, PlatformPower, energy_joules, kcv_per_joule
+from .energy import DEFAULT_POWER, PlatformPower
 from .trace import (
     ExecutionTrace,
     TaskTrace,
@@ -84,8 +84,6 @@ __all__ = [
     "multiport_bram_comparison",
     "DEFAULT_POWER",
     "PlatformPower",
-    "energy_joules",
-    "kcv_per_joule",
     "Writer",
     "WriterStats",
     "BitwiseMISAccelerator",

@@ -27,7 +27,7 @@ sequential greedy coloring and is proper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -49,7 +49,12 @@ from .multiport import BitSelectMultiPortCache
 from .trace import ExecutionTrace, TaskTrace
 from .writer import Writer
 
-__all__ = ["AcceleratorStats", "AcceleratorResult", "BitColorAccelerator"]
+__all__ = [
+    "AcceleratorStats",
+    "AcceleratorResult",
+    "BitColorAccelerator",
+    "engine_that_runs",
+]
 
 
 @dataclass
@@ -64,6 +69,18 @@ class _TaskRecord:
     stall: int
     queue_delay: int = 0
     deferred_on: tuple = ()
+
+
+def engine_that_runs(engine: str, config: HWConfig, *, trace: bool = False) -> str:
+    """The engine :meth:`BitColorAccelerator.run` takes when asked for
+    ``engine``: the batched engine is the native run where that applies,
+    and the event engine everywhere else — per-task trace rows,
+    degenerate DRAM costs, or no compiler passing the native probe."""
+    if engine == "batched" and (
+        trace or degenerate_dram(config) or not native.available()
+    ):
+        return "event"
+    return engine
 
 
 @dataclass
@@ -193,13 +210,7 @@ class BitColorAccelerator:
     # ------------------------------------------------------------------
     def run(self, graph: CSRGraph, *, trace: bool = False) -> AcceleratorResult:
         """Color ``graph``; records spans/counters on the active obs registry."""
-        # The one fallback rule: the batched engine is the native run
-        # where that applies, and the event engine everywhere else.
-        engine = self.engine
-        if engine == "batched" and (
-            trace or degenerate_dram(self.config) or not native.available()
-        ):
-            engine = "event"
+        engine = engine_that_runs(self.engine, self.config, trace=trace)
         obs = get_registry()
         with obs.span(
             "hw.accelerator.run",

@@ -17,7 +17,7 @@ model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Dict, Optional
 
 from collections import deque
 

@@ -1,9 +1,10 @@
-"""Energy model — KCV/J (kilo colored vertices per joule).
+"""Energy model — average platform power for the KCV/J metric.
 
 The paper's Section 5.3 reports average energy efficiency of 12 KCV/J
 (CPU), 19 KCV/J (GPU) and 156 KCV/J (BitColor) — 13× and 8.2× advantages.
-KCV/J is throughput divided by average power, so the model needs only a
-power figure per platform:
+KCV/J is throughput divided by average power
+(:func:`repro.perfmodel.metrics.kcvj`), so the model needs only a power
+figure per platform:
 
 * CPU: a Xeon Silver 4114 under a single-threaded memory-bound workload
   draws well under TDP; we use a package figure consistent with the
@@ -26,9 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import HWConfig
-
-__all__ = ["PlatformPower", "energy_joules", "kcv_per_joule"]
+__all__ = ["DEFAULT_POWER", "PlatformPower"]
 
 
 @dataclass(frozen=True)
@@ -45,17 +44,3 @@ class PlatformPower:
 
 
 DEFAULT_POWER = PlatformPower()
-
-
-def energy_joules(time_seconds: float, watts: float) -> float:
-    if time_seconds < 0 or watts < 0:
-        raise ValueError("time and power must be non-negative")
-    return time_seconds * watts
-
-
-def kcv_per_joule(num_vertices: int, time_seconds: float, watts: float) -> float:
-    """Kilo colored vertices per joule (the paper's energy metric)."""
-    e = energy_joules(time_seconds, watts)
-    if e == 0:
-        return float("inf")
-    return num_vertices / e / 1e3

@@ -14,7 +14,7 @@ This module turns that into engineering views:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 __all__ = ["TaskTrace", "ExecutionTrace", "pe_utilization", "render_gantt", "critical_path"]
 

@@ -15,7 +15,7 @@ The Writer receives completed tasks from the BWPEs and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bwpe import BWPE, TaskExecution
 from .cache import HDVColorCache

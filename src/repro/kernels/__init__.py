@@ -2,8 +2,8 @@
 
 The batch counterpart of :mod:`repro.coloring.bitset`: color states live in
 ``(rows, words)`` uint64 bit-matrices and every primitive — scatter-OR
-accumulation, batch first-free-color, one-hot conversion, popcount — runs
-over all rows at once.  The coloring algorithms select this layer with
+accumulation, batch first-free-color, popcount — runs over all rows at
+once.  The coloring algorithms select this layer with
 ``backend="vectorized"``; see ``docs/performance.md``.
 
 On top of the NumPy tier sits an opt-in **native tier**
@@ -18,13 +18,10 @@ to the vectorized kernels when no compiler backend works.
 
 from typing import Callable, Tuple
 
-from .batching import contiguous_independent_runs, dependency_levels, gather_ranges
+from .batching import dependency_levels, gather_ranges
 from .bitmatrix import (
     WORD_BITS,
-    bit_index_u64,
-    colors_to_onehot,
     first_free_colors_packed,
-    onehot_to_colors,
     popcount_u64,
     scatter_or_colors,
     words_for_colors,
@@ -39,14 +36,10 @@ from .segments import (
 __all__ = [
     "WORD_BITS",
     "NativeUnavailable",
-    "bit_index_u64",
     "capabilities",
-    "colors_to_onehot",
-    "contiguous_independent_runs",
     "dependency_levels",
     "first_free_colors_packed",
     "gather_ranges",
-    "onehot_to_colors",
     "popcount_u64",
     "preferred_tier",
     "resolve_tier_kernels",

@@ -10,18 +10,10 @@ data-parallel sweep.  This is the software analogue of the paper's BWPE
 task window: the dispatcher hands out vertex groups and the conflict unit
 defers exactly the vertices whose neighbours are still in flight.
 
-Two schedules are provided:
-
-* :func:`dependency_levels` — level scheduling (vectorised Kahn peeling of
-  the order-DAG).  The batch count equals the longest dependency chain,
-  typically ``O(log n)``–ish on the paper's graph classes, which is what
-  makes the vectorized backend fast; this is what
-  ``backend="vectorized"`` uses.
-* :func:`contiguous_independent_runs` — maximal contiguous runs of the
-  ordering with the same two properties.  Runs preserve the ordering's
-  locality (each batch is a slice), matching the hardware's contiguous
-  task windows, but power-law graphs cut them very short; exposed for
-  analysis and as the simpler reference schedule.
+:func:`dependency_levels` builds such a schedule by level scheduling
+(vectorised Kahn peeling of the order-DAG).  The batch count equals the
+longest dependency chain, typically ``O(log n)``–ish on the paper's graph
+classes, which is what makes the vectorized backend fast.
 
 :func:`gather_ranges` is the shared multi-range gather that turns a
 batch's CSR slot ranges into one index array.
@@ -35,7 +27,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 
-__all__ = ["contiguous_independent_runs", "dependency_levels", "gather_ranges"]
+__all__ = ["dependency_levels", "gather_ranges"]
 
 
 def _resolve_ordering(graph: CSRGraph, ordering) -> np.ndarray:
@@ -133,39 +125,3 @@ def dependency_levels(
     if identity:
         graph._cache["dependency_levels"] = result
     return result
-
-
-def contiguous_independent_runs(
-    graph: CSRGraph, ordering: Optional[Sequence[int]] = None
-) -> np.ndarray:
-    """Run boundaries over ``ordering`` (default: ascending vertex ID).
-
-    Returns an int64 array ``b`` with ``b[0] == 0`` and ``b[-1] == n``; run
-    ``k`` is ``ordering[b[k]:b[k+1]]``.  Each run is the maximal prefix of
-    the remaining ordering whose members have all their earlier-ordered
-    neighbours strictly before the run (which also makes the run an
-    independent set).
-    """
-    n = graph.num_vertices
-    ordering = _resolve_ordering(graph, ordering)
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    pos = _order_positions(graph, ordering)
-    src_pos = pos[graph.source_of_edge_slots()]
-    dst_pos = pos[graph.edges]
-    # prev[i]: the latest ordering position < i holding a neighbour of the
-    # vertex at position i (-1 when none).
-    prev = np.full(n, -1, dtype=np.int64)
-    back = dst_pos < src_pos
-    np.maximum.at(prev, src_pos[back], dst_pos[back])
-    # A run starting at `start` extends through every position whose latest
-    # earlier neighbour is before `start`.  The boundary scan is sequential
-    # by nature but O(n) over plain ints.
-    bounds = [0]
-    start = 0
-    for i, p in enumerate(prev.tolist()):
-        if p >= start:
-            bounds.append(i)
-            start = i
-    bounds.append(n)
-    return np.asarray(bounds, dtype=np.int64)

@@ -16,10 +16,12 @@ every primitive operates on all rows at once:
   word with a zero bit, then the single-word bit trick inside it
   (delegating to :func:`repro.coloring.bitset.first_free_colors_u64` in
   the one-word case);
-* :func:`colors_to_onehot` / :func:`onehot_to_colors` — the batch
-  decompress/compress pair (``Num2Bit`` table and cascaded-mux compressor
-  of Figure 4, as data-parallel index arithmetic);
 * :func:`popcount_u64` — vectorised set-bit counts.
+
+The Num2Bit table and cascaded-mux compressor of Figure 4 are modelled
+once, in :mod:`repro.coloring.bitset`; here the two conversions are
+folded into the kernels (color → one-hot inside the scatter-OR, bit →
+color inside the first-free scan).
 
 Everything here is pure NumPy; the coloring algorithms select it via their
 ``backend="vectorized"`` parameter and are property-tested to produce
@@ -37,9 +39,6 @@ __all__ = [
     "WORD_BITS",
     "words_for_colors",
     "popcount_u64",
-    "bit_index_u64",
-    "colors_to_onehot",
-    "onehot_to_colors",
     "scatter_or_colors",
     "first_free_colors_packed",
 ]
@@ -75,59 +74,6 @@ def popcount_u64(words: np.ndarray) -> np.ndarray:
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(words).astype(np.int64)
     return _popcount_swar(words)  # pragma: no cover - exercised directly in tests
-
-
-def bit_index_u64(onehot: np.ndarray) -> np.ndarray:
-    """Index of the single set bit of each word (batch one-hot compression).
-
-    ``popcount(x - 1)`` counts the zeros below the set bit — the bit index —
-    without the float-log2 precision trap above 2**53.
-    """
-    onehot = np.asarray(onehot, dtype=np.uint64)
-    if np.any(onehot == 0) or np.any((onehot & (onehot - _ONE)) != 0):
-        raise ValueError("every word must be one-hot")
-    return popcount_u64(onehot - _ONE)
-
-
-def colors_to_onehot(colors: np.ndarray, num_words: int) -> np.ndarray:
-    """Batch ``Num2Bit`` decompression: color numbers → one-hot rows.
-
-    Color 0 (uncolored) stays the all-zero row, as in the scalar
-    :func:`repro.coloring.bitset.num_to_bits`.
-    """
-    colors = np.asarray(colors, dtype=np.int64)
-    if colors.ndim != 1:
-        raise ValueError("colors must be one-dimensional")
-    if colors.size and (colors.min() < 0 or colors.max() > num_words * WORD_BITS):
-        raise ValueError(
-            f"color numbers must lie in [0, {num_words * WORD_BITS}] "
-            f"for {num_words} state words"
-        )
-    out = np.zeros((colors.size, num_words), dtype=np.uint64)
-    rows = np.nonzero(colors > 0)[0]
-    idx = colors[rows] - 1
-    out[rows, idx >> 6] = _ONE << (idx & 63).astype(np.uint64)
-    return out
-
-
-def onehot_to_colors(states: np.ndarray) -> np.ndarray:
-    """Batch cascaded-mux compression: one-hot rows → color numbers.
-
-    The all-zero row compresses to 0; any row with more than one set bit
-    raises, matching the scalar :func:`repro.coloring.bitset.bits_to_num`.
-    """
-    states = np.ascontiguousarray(states, dtype=np.uint64)
-    if states.ndim != 2:
-        raise ValueError("states must be a (rows, words) matrix")
-    nonzero = states != 0
-    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
-        raise ValueError("row has set bits in more than one word; not one-hot")
-    word = np.argmax(nonzero, axis=1)
-    vals = states[np.arange(states.shape[0]), word]
-    out = np.zeros(states.shape[0], dtype=np.int64)
-    hot = vals != 0
-    out[hot] = word[hot] * WORD_BITS + bit_index_u64(vals[hot]) + 1
-    return out
 
 
 def scatter_or_colors(

@@ -4,9 +4,7 @@ from .cpu import CPUCostParams, CPUModel, CPURunResult
 from .gpu import GPUCostParams, GPUModel, GPURunResult
 from .metrics import (
     ComparisonRow,
-    PlatformMeasurement,
     arith_mean,
-    geomean,
     kcvj,
     mcvs,
     speedup,
@@ -20,9 +18,7 @@ __all__ = [
     "GPUModel",
     "GPURunResult",
     "ComparisonRow",
-    "PlatformMeasurement",
     "arith_mean",
-    "geomean",
     "kcvj",
     "mcvs",
     "speedup",

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..coloring.greedy import GreedyResult, greedy_coloring
 from ..graph.csr import CSRGraph
 

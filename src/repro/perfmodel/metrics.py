@@ -9,38 +9,17 @@ colored vertices per joule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
-    "PlatformMeasurement",
     "speedup",
-    "geomean",
     "arith_mean",
     "mcvs",
     "kcvj",
     "ComparisonRow",
 ]
-
-
-@dataclass(frozen=True)
-class PlatformMeasurement:
-    """One platform's result on one dataset."""
-
-    platform: str
-    dataset: str
-    num_vertices: int
-    time_seconds: float
-    power_watts: float
-
-    @property
-    def throughput_mcvs(self) -> float:
-        return mcvs(self.num_vertices, self.time_seconds)
-
-    @property
-    def energy_kcvj(self) -> float:
-        return kcvj(self.num_vertices, self.time_seconds, self.power_watts)
 
 
 @dataclass(frozen=True)
@@ -66,15 +45,6 @@ def speedup(baseline_seconds: float, accelerated_seconds: float) -> float:
     if accelerated_seconds <= 0:
         return float("inf")
     return baseline_seconds / accelerated_seconds
-
-
-def geomean(values: Iterable[float]) -> float:
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("geomean of empty sequence")
-    if np.any(arr <= 0):
-        raise ValueError("geomean requires positive values")
-    return float(np.exp(np.log(arr).mean()))
 
 
 def arith_mean(values: Iterable[float]) -> float:

@@ -12,7 +12,6 @@ from repro.graph import (
     save_npz,
     sort_edges,
     write_dimacs,
-    write_edge_list,
 )
 from repro.graph.io import load_snap_edge_list
 
@@ -93,10 +92,3 @@ class TestWriters:
         assert "e 2 3" in lines
         # Each undirected edge appears exactly once.
         assert sum(1 for l in lines if l.startswith("e ")) == 2
-
-    def test_edge_list_roundtrip(self, tmp_path):
-        g = erdos_renyi(25, 0.3, seed=4, name="el")
-        p = tmp_path / "g.txt"
-        write_edge_list(g, p)
-        back = load_snap_edge_list(p)
-        assert back.num_undirected_edges == g.num_undirected_edges

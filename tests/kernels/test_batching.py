@@ -1,6 +1,6 @@
-"""Schedule-validity tests for the dependency batching kernels.
+"""Schedule-validity tests for the dependency batching kernel.
 
-Both schedules promise the same two properties — batch members are
+The level schedule promises two properties — batch members are
 mutually non-adjacent and every earlier-ordered neighbour of a member sits
 in an earlier batch — which is exactly what makes the vectorized coloring
 backends bit-identical to the sequential walk.  The tests check those
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.graph import CSRGraph
 from repro.kernels import (
-    contiguous_independent_runs,
     dependency_levels,
     gather_ranges,
 )
@@ -82,19 +81,6 @@ def test_dependency_levels_valid(args):
     check_schedule(g, ordering, batches)
 
 
-@common
-@given(graphs_and_orderings())
-def test_contiguous_runs_valid(args):
-    g, ordering = args
-    bounds = contiguous_independent_runs(g, ordering)
-    assert bounds[0] == 0 and bounds[-1] == g.num_vertices
-    assert np.all(np.diff(bounds) > 0) or g.num_vertices == 0
-    batches = [
-        np.arange(s, e, dtype=np.int64) for s, e in zip(bounds[:-1], bounds[1:])
-    ]
-    check_schedule(g, ordering, batches)
-
-
 def test_levels_small_examples():
     # A path in ID order is one long dependency chain: every edge points
     # forward, so each vertex sits one level above its predecessor.
@@ -117,11 +103,9 @@ def test_levels_empty_and_edgeless():
     g0 = CSRGraph.from_edge_list(0, [])
     batch_pos, bounds = dependency_levels(g0)
     assert batch_pos.size == 0 and bounds.tolist() == [0]
-    assert contiguous_independent_runs(g0).tolist() == [0]
     g3 = CSRGraph.from_edge_list(3, [])
     batch_pos, bounds = dependency_levels(g3)
     assert bounds.tolist() == [0, 3]  # all independent -> one level
-    assert contiguous_independent_runs(g3).tolist() == [0, 3]
 
 
 def test_levels_identity_schedule_is_memoised():

@@ -13,10 +13,7 @@ from repro.coloring.bitset import (
 )
 from repro.kernels import (
     WORD_BITS,
-    bit_index_u64,
-    colors_to_onehot,
     first_free_colors_packed,
-    onehot_to_colors,
     popcount_u64,
     scatter_or_colors,
     words_for_colors,
@@ -64,56 +61,6 @@ def test_popcount_scalar_fallbacks():
     # both must agree on the same values.
     for v in (0, 1, (1 << 63) | 1, 2**64 - 1):
         assert popcount(v) == bin(v).count("1")
-
-
-# ----------------------------------------------------------------------
-# one-hot conversions
-# ----------------------------------------------------------------------
-
-
-def test_bit_index_u64():
-    idx = np.arange(64, dtype=np.uint64)
-    onehot = np.uint64(1) << idx
-    assert np.array_equal(bit_index_u64(onehot), np.arange(64))
-    with pytest.raises(ValueError):
-        bit_index_u64(np.array([0], dtype=np.uint64))
-    with pytest.raises(ValueError):
-        bit_index_u64(np.array([3], dtype=np.uint64))
-
-
-def test_onehot_roundtrip():
-    colors = np.array([0, 1, 64, 65, 128, 100, 1, 0], dtype=np.int64)
-    states = colors_to_onehot(colors, 2)
-    assert states.shape == (colors.size, 2)
-    assert np.array_equal(onehot_to_colors(states), colors)
-    # Color 0 stays the all-zero row, exactly like scalar num_to_bits.
-    assert not states[0].any()
-    assert num_to_bits(0) == 0
-
-
-def test_onehot_matches_scalar_num_to_bits():
-    colors = np.arange(0, 129, dtype=np.int64)
-    states = colors_to_onehot(colors, words_for_colors(129))
-    for c, row in zip(colors, states):
-        packed = int(row[0]) | (int(row[1]) << 64) | (int(row[2]) << 128)
-        assert packed == num_to_bits(int(c))
-
-
-def test_colors_to_onehot_validation():
-    with pytest.raises(ValueError):
-        colors_to_onehot(np.array([65]), 1)  # does not fit one word
-    with pytest.raises(ValueError):
-        colors_to_onehot(np.array([-1]), 1)
-    with pytest.raises(ValueError):
-        colors_to_onehot(np.zeros((2, 2), dtype=np.int64), 1)
-
-
-def test_onehot_to_colors_rejects_multi_hot():
-    bad = np.zeros((1, 2), dtype=np.uint64)
-    bad[0, 0] = 1
-    bad[0, 1] = 1
-    with pytest.raises(ValueError):
-        onehot_to_colors(bad)
 
 
 # ----------------------------------------------------------------------

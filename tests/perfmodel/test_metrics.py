@@ -4,9 +4,7 @@ import pytest
 
 from repro.perfmodel import (
     ComparisonRow,
-    PlatformMeasurement,
     arith_mean,
-    geomean,
     kcvj,
     mcvs,
     speedup,
@@ -22,16 +20,6 @@ class TestSpeedup:
 
 
 class TestMeans:
-    def test_geomean(self):
-        assert geomean([1, 100]) == pytest.approx(10.0)
-        assert geomean([7]) == pytest.approx(7.0)
-
-    def test_geomean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geomean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geomean([])
-
     def test_arith_mean(self):
         assert arith_mean([1, 2, 3]) == 2.0
         with pytest.raises(ValueError):
@@ -49,11 +37,6 @@ class TestThroughputEnergy:
 
 
 class TestRecords:
-    def test_platform_measurement(self):
-        m = PlatformMeasurement("cpu", "EF", 10**6, 1.0, 100.0)
-        assert m.throughput_mcvs == 1.0
-        assert m.energy_kcvj == pytest.approx(10.0)
-
     def test_comparison_row(self):
         r = ComparisonRow("EF", cpu_time_s=10.0, gpu_time_s=4.0, fpga_time_s=2.0)
         assert r.speedup_vs_cpu == 5.0

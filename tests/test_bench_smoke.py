@@ -165,6 +165,29 @@ def test_hbm_parity_skipped_without_native_tier(monkeypatch):
     assert smoke["min_delta_reduction"] >= smoke["floor"]
 
 
+def test_hbm_sweep_names_the_engine_that_ran(monkeypatch):
+    """Without a compiler the sweep's cells run the event engine, and the
+    result document names it rather than the requested batched engine."""
+    from repro.experiments import hbm_sweep
+    from repro.kernels import native
+    from repro.obs import Registry, use_registry
+
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    native.refresh()
+    reg = Registry()
+    try:
+        with use_registry(reg):
+            doc = hbm_sweep.run_hbm_sweep(
+                datasets=("EF",), channels=(4,), parallelisms=(16,),
+                layouts=("plain",), tier="standin",
+            )
+    finally:
+        native.refresh()  # the next probe sees the restored environment
+    ran = {s.attrs["engine"] for s in reg.spans if s.name == "hw.accelerator.run"}
+    assert ran == {"event"}
+    assert doc["engine"] == "event"
+
+
 def test_hbm_baseline_is_checked_in():
     """The paper-tier sweep passes its own gate and carries the full axes."""
     doc = load_baseline("hbm")

@@ -92,6 +92,8 @@ def test_invalid_backend_rejected(graph):
         repro.color(graph, "greedy", backend="vectorized")
     with pytest.raises(ValueError, match="allowed"):
         repro.color(graph, "jp", backend="hw")
+    with pytest.raises(ValueError, match="allowed"):
+        repro.color(graph, "jp", backend="native")
 
 
 def test_seed_rejected_for_deterministic_algorithms(graph):
